@@ -133,10 +133,11 @@ class MissCurve:
         what the capacity partitioner and WhirlTool's distance metric
         consume.  Computed with a linear-time monotone-chain scan (the
         run-skipping :func:`_lower_convex_hull_fast` variant, bit-identical
-        to :func:`_lower_convex_hull`) and cached.
+        to :func:`_lower_convex_hull`) and cached read-only: every caller,
+        and every job sharing a memoized curve, reads the same array.
         """
         if self._hull_cache is None:
-            self._hull_cache = _lower_convex_hull_fast(self.misses)
+            self._hull_cache = _cached_hull(self.misses)
         return self._hull_cache
 
     def hull_curve(self) -> "MissCurve":
@@ -398,4 +399,11 @@ def prime_hull_caches(curves: Iterable["MissCurve"]) -> None:
     """
     for curve in curves:
         if curve._hull_cache is None:
-            curve._hull_cache = _lower_convex_hull_fast(curve.misses)
+            curve._hull_cache = _cached_hull(curve.misses)
+
+
+def _cached_hull(misses: np.ndarray) -> np.ndarray:
+    """A read-only hull for :attr:`MissCurve._hull_cache`."""
+    hull = _lower_convex_hull_fast(misses)
+    hull.flags.writeable = False
+    return hull

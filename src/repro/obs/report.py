@@ -165,6 +165,13 @@ def rollup(events: list[dict]) -> dict[str, Any]:
         misses = counters.get(miss_name, 0.0)
         if hits + misses > 0:
             cache_ratios[base] = round(hits / (hits + misses), 4)
+    # Which tier served the profile-cache hits: the in-process memo, or
+    # a payload read (store_mmap splits those).
+    profile_hits = counters.get("profile_cache.hit", 0.0)
+    if profile_hits > 0:
+        cache_ratios["profile_memo"] = round(
+            counters.get("profile_cache.memo", 0.0) / profile_hits, 4
+        )
 
     return {
         "events": len(events),

@@ -11,12 +11,17 @@ share one page-cache copy of each curve set.  Two legacy paths remain:
 ``$REPRO_PROFILE_CACHE`` pins the original flat-directory cache (tests
 and hermetic runs), and the committed ``.profile_cache/`` fixture pile
 is still read — never rewritten — when the store misses.
+
+Within a process, each payload is decoded once: a bounded memo keyed by
+the payload file hands every later request the same read-only curves,
+so their hull caches carry over from one job to the next.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +63,63 @@ _ENV_CACHE = "REPRO_PROFILE_CACHE"
 #: misread.
 _FORMAT_VERSION = FORMAT_VERSION
 
+#: Bytes of curve sets the per-process memo may keep.  The largest set a
+#: grid revisits job after job, one 16-core Whirlpool mix, is about 8 MB
+#: of curves plus hulls; the bound holds two, since whatever it holds
+#: stays resident between jobs.
+_MEMO_BYTES = 16 << 20
+
+Curves = dict[int, list[MissCurve]]
+
+
+def _fresh(curves: Curves) -> Curves:
+    """New containers over the same curves: callers may mutate them."""
+    return {vc: list(series) for vc, series in curves.items()}
+
+
+class _CurveMemo:
+    """Least-recently-used curve sets, keyed by the payload they came from.
+
+    A key holds the payload's path, device, inode, size and mtime, so a
+    replaced or rewritten file misses its old entry, and switching cache
+    roots (``$REPRO_PROFILE_CACHE``, ``$REPRO_STORE_DIR``) cannot alias
+    entries.  The curves are read-only and shared; their hull caches
+    fill in as schemes use them.  An entry costs its payload (the mapped
+    file, or the decoded arrays when larger) plus one hull per curve, so
+    the bound also caps the mappings, each holding a file descriptor,
+    that the memo keeps alive.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, tuple[Curves, int]] = OrderedDict()
+
+    def get(self, key: tuple) -> Curves | None:
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return _fresh(entry[0])
+
+    def put(self, key: tuple, curves: Curves, file_bytes: int) -> None:
+        decoded = sum(c.misses.nbytes for s in curves.values() for c in s)
+        cost = max(file_bytes, decoded) + decoded
+        if cost > self.limit:
+            return
+        self._entries[key] = (_fresh(curves), cost)
+        self.nbytes += cost
+        while self.nbytes > self.limit:
+            __, (__, dropped) = self._entries.popitem(last=False)
+            self.nbytes -= dropped
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+_MEMO = _CurveMemo(_MEMO_BYTES)
+
 
 def cache_dir() -> Path:
     """The flat legacy cache directory ($REPRO_PROFILE_CACHE).
@@ -98,6 +160,7 @@ def clear_cache() -> int:
     ``$REPRO_PROFILE_CACHE`` is set, the store's profile kind otherwise
     (committed fixtures are never deleted).
     """
+    _MEMO.clear()
     n = 0
     if os.environ.get(_ENV_CACHE):
         directory = cache_dir()
@@ -127,26 +190,17 @@ def _fingerprint(
     # with lines[::257]) lets distinct traces of equal length collide and
     # silently serve each other's curves.  Hashing ~16 MB/ms-scale is
     # negligible next to profiling itself — but not next to a cache *hit*,
-    # so fingerprints are memoized per trace object (trace arrays are
-    # immutable by convention; a campaign re-evaluating one workload
-    # across schemes and intervals hashes it once).
-    memo_key = (
-        chunk_bytes,
-        n_chunks,
-        n_intervals,
-        sample_shift,
-        tuple(sorted(mapping.items())),
-    )
-    memo = getattr(trace, "_fingerprint_memo", None)
-    if memo is None:
-        memo = {}
-        trace._fingerprint_memo = memo
-    cached = memo.get(memo_key)
-    if cached is not None:
-        return cached
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(trace.lines, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(trace.regions, dtype=np.int32).tobytes())
+    # so the hash state after the arrays is kept on the trace object and
+    # copied for each grid and mapping (trace arrays are immutable by
+    # convention; a campaign evaluating one workload under many VC
+    # layouts hashes its arrays once).
+    arrays = getattr(trace, "_fingerprint_arrays", None)
+    if arrays is None:
+        arrays = hashlib.blake2b(digest_size=16)
+        arrays.update(np.ascontiguousarray(trace.lines, dtype=np.int64))
+        arrays.update(np.ascontiguousarray(trace.regions, dtype=np.int32))
+        trace._fingerprint_arrays = arrays
+    h = arrays.copy()
     h.update(
         f"v{_FORMAT_VERSION}|{len(trace)}|{trace.instructions}|"
         f"{trace.line_bytes}|{chunk_bytes}|{n_chunks}|"
@@ -154,8 +208,7 @@ def _fingerprint(
     )
     for rid in sorted(mapping):
         h.update(f"{rid}:{mapping[rid]};".encode())
-    memo[memo_key] = h.hexdigest()
-    return memo[memo_key]
+    return h.hexdigest()
 
 
 def profile_vcs(
@@ -166,7 +219,7 @@ def profile_vcs(
     n_intervals: int = 1,
     sample_shift: int = 0,
     use_cache: bool = True,
-) -> dict[int, list[MissCurve]]:
+) -> Curves:
     """Profile a trace into per-VC, per-interval miss curves.
 
     Args:
@@ -177,7 +230,11 @@ def profile_vcs(
         n_intervals: reconfiguration intervals.
         sample_shift: address sampling (see
             :class:`~repro.curves.reuse.StackDistanceProfiler`).
-        use_cache: read/write the on-disk cache.
+        use_cache: read/write the on-disk cache and the in-process memo.
+
+    With ``use_cache``, the curves may be shared with other calls for
+    the same payload and are then read-only; the returned dict and lists
+    are always the caller's own.
     """
     key = None
     if use_cache:
@@ -204,8 +261,8 @@ def profile_vcs(
         curves = profiler.profile(
             trace.lines, vc_ids, trace.instructions, n_intervals=n_intervals
         )
-    if use_cache and key is not None:
-        _store(
+    if key is not None:
+        path = _store(
             key,
             curves,
             inputs={
@@ -219,35 +276,58 @@ def profile_vcs(
                 "sample_shift": sample_shift,
             },
         )
+        # Serve the published payload: its read-only curves are the ones
+        # every later call for this fingerprint shares, hulls included.
+        stored = _load_payload(path, chunk_bytes, n_intervals)
+        if stored is not None:
+            return stored
     return curves
 
 
-def _load(
-    key: str, chunk_bytes: int, n_intervals: int
-) -> dict[int, list[MissCurve]] | None:
+def _load(key: str, chunk_bytes: int, n_intervals: int) -> Curves | None:
     # A stale or partially written file (missing arrays, wrong layout
     # version, truncated index) falls back to re-profiling instead of
     # crashing the run; load_profile absorbs all of that into None.
     if os.environ.get(_ENV_CACHE):
-        return load_profile(
-            cache_dir() / f"{key}.npz", chunk_bytes, n_intervals
-        )
-    path = _profile_store().get("profiles", key)
-    if path is not None:
-        out = load_profile(path, chunk_bytes, n_intervals)
-        if out is not None:
-            return out
-    fixture = _fixture_dir()
-    if fixture is not None:
-        return load_profile(fixture / f"{key}.npz", chunk_bytes, n_intervals)
-    return None
+        return _load_payload(cache_dir() / f"{key}.npz", chunk_bytes, n_intervals)
+    path = _profile_store().path("profiles", key)
+    curves = _load_payload(path, chunk_bytes, n_intervals)
+    if curves is None:
+        fixture = _fixture_dir()
+        if fixture is not None:
+            curves = _load_payload(fixture / f"{key}.npz", chunk_bytes, n_intervals)
+    return curves
 
 
-def _store(
-    key: str,
-    curves: dict[int, list[MissCurve]],
-    inputs: dict | None = None,
-) -> None:
+def _load_payload(
+    path: Path, chunk_bytes: int, n_intervals: int
+) -> Curves | None:
+    """The curves in one payload file: memoized, or decoded and memoized."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    memo_key = (
+        str(path),
+        st.st_dev,
+        st.st_ino,
+        st.st_size,
+        st.st_mtime_ns,
+        chunk_bytes,
+        n_intervals,
+    )
+    curves = _MEMO.get(memo_key)
+    if curves is not None:
+        obs.counter("profile_cache.memo")
+        return curves
+    curves = load_profile(path, chunk_bytes, n_intervals)
+    if curves is not None:
+        _MEMO.put(memo_key, curves, st.st_size)
+    return curves
+
+
+def _store(key: str, curves: Curves, inputs: dict | None = None) -> Path:
+    """Write ``curves`` to the active cache; returns the payload path."""
     if os.environ.get(_ENV_CACHE):
         from repro.store.profiles import encode_payload
 
@@ -257,17 +337,18 @@ def _store(
         # Write-to-temp + atomic rename: parallel campaign workers
         # profiling the same fingerprint must never expose a
         # half-written file.
+        path = directory / f"{key}.npz"
         tmp = directory / f".{key}.{os.getpid()}.tmp.npz"
         try:
             np.savez_compressed(tmp, **payload)
-            os.replace(tmp, directory / f"{key}.npz")
+            os.replace(tmp, path)
         finally:
             if tmp.exists():
                 tmp.unlink()
-        return
+        return path
     from repro.store import provenance_record, publish_profile
 
-    publish_profile(
+    return publish_profile(
         _profile_store(),
         key,
         curves,

@@ -64,7 +64,8 @@ def decode_payload(
     ``data`` is either an ``NpzFile`` or a mapped-member dict — anything
     supporting ``in`` and ``[]``.  A stale or partially written payload
     (missing arrays, wrong version) returns ``None`` so callers fall
-    back to re-profiling rather than crash.
+    back to re-profiling rather than crash.  Every returned curve's
+    ``misses`` is read-only, mapped or not.
     """
     from repro.curves.miss_curve import MissCurve
 
@@ -77,16 +78,20 @@ def decode_payload(
         out: dict[int, list[MissCurve]] = {}
         vc_ids = data["vc_ids"]
         for i, vc in enumerate(vc_ids.tolist()):
+            # Each NpzFile lookup inflates the member afresh: read the
+            # per-VC counts once, not once per interval.
+            accesses = data[f"a_{i}"]
+            instructions = data[f"i_{i}"]
             curves = []
             for t in range(n_intervals):
-                curves.append(
-                    MissCurve(
-                        misses=data[f"m_{i}_{t}"],
-                        chunk_bytes=chunk_bytes,
-                        accesses=float(data[f"a_{i}"][t]),
-                        instructions=float(data[f"i_{i}"][t]),
-                    )
+                curve = MissCurve(
+                    misses=data[f"m_{i}_{t}"],
+                    chunk_bytes=chunk_bytes,
+                    accesses=float(accesses[t]),
+                    instructions=float(instructions[t]),
                 )
+                curve.misses.flags.writeable = False
+                curves.append(curve)
             out[int(vc)] = curves
     except (
         KeyError,
@@ -107,7 +112,8 @@ def load_profile(
 
     Mapped payloads hand :class:`MissCurve` read-only views over one
     shared mapping (N workers share one page-cache copy); compressed or
-    foreign files fall back to ``np.load`` and, failing that, ``None``.
+    foreign files fall back to ``np.load`` (read-only copies) and,
+    failing that, ``None``.
     """
     from repro import obs
     from repro.devtools import faults

@@ -310,6 +310,49 @@ class TestSinksAndReplay:
         assert "faults injected: 1" in text
         assert "b: 2 retries" in text
 
+    def test_rollup_memo_row_is_memo_share_of_profile_hits(self):
+        sink = enable_memory()
+        obs.counter("profile_cache.hit", 4)
+        obs.counter("profile_cache.memo", 3)
+        obs.counter("store.load.mmap", 1)
+        summary = rollup(sink.events)
+        assert summary["cache_hit_ratios"]["profile_memo"] == 0.75
+        assert "profile_memo: 75.0%" in format_report(summary)
+
+    def test_event_log_names_the_tier_of_each_profile(
+        self, tmp_path, monkeypatch
+    ):
+        import numpy as np
+
+        from repro.sim import profiling
+        from repro.workloads.trace import Trace
+
+        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
+        monkeypatch.setattr(
+            profiling, "_MEMO", profiling._CurveMemo(profiling._MEMO_BYTES)
+        )
+        rng = np.random.default_rng(3)
+        trace = Trace(
+            lines=rng.integers(0, 64, size=300),
+            regions=rng.integers(0, 3, size=300).astype(np.int32),
+            instructions=4000.0,
+        )
+        kwargs = dict(mapping={0: 0, 1: 1, 2: 1}, chunk_bytes=1024, n_chunks=4)
+        sink = enable_memory()
+        for __ in range(3):
+            profiling.profile_vcs(trace, **kwargs)
+        summary = rollup(sink.events)
+        counters = summary["metrics"]["counters"]
+        # One computed profile (published, then mapped back once); the
+        # two repeats are memo hits that read nothing from disk.
+        assert counters["profile_cache.miss"] == 1
+        assert counters["profile_cache.hit"] == 2
+        assert counters["profile_cache.memo"] == 2
+        assert counters["store.load.mmap"] == 1
+        assert summary["cache_hit_ratios"]["profile_memo"] == 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(

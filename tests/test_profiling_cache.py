@@ -3,9 +3,11 @@
 The on-disk cache must be invisible: a load must return exactly what a
 cold profiling run computes, and any stale/partial/foreign file must
 fall back to re-profiling rather than crash (a killed campaign worker
-can leave such files behind).
+can leave such files behind).  The in-process memo must be invisible
+too: shared curves are read-only, and a replaced payload is re-read.
 """
 
+import hashlib
 import os
 import tempfile
 
@@ -14,8 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.curves import miss_curve
+from repro.curves.miss_curve import prime_hull_caches
 from repro.sim import profiling
 from repro.sim.profiling import profile_vcs
+from repro.store import ArtifactStore, load_profile, publish_profile
+from repro.store.profiles import encode_payload
 from repro.workloads.trace import Trace
 
 
@@ -174,6 +180,36 @@ class TestFingerprint:
         assert_curves_equal(served, cold_b)
         assert len(list(cache_env.glob("*.npz"))) == 2
 
+    def test_digest_bytes_are_pinned(self):
+        # Every committed fixture and store entry is named by these
+        # bytes; hashing the arrays from a copied per-trace hash state
+        # must give exactly the digests of hashing everything afresh.
+        args = dict(chunk_bytes=1024, n_chunks=4, n_intervals=2, sample_shift=0)
+        trace = make_trace([0, 1, 2, 3], [0, 0, 1, 1], 100.0)
+        one_vc = "1890b8bc31dbf4b30e75f42b108b04fb"
+        assert (
+            profiling._fingerprint(trace, {0: 0, 1: 1}, **args)
+            == "f84c9e25af83f1cdce1a66f8232fd0f9"
+        )
+        assert profiling._fingerprint(trace, {0: 0, 1: 0}, **args) == one_vc
+        fresh = make_trace([0, 1, 2, 3], [0, 0, 1, 1], 100.0)
+        assert profiling._fingerprint(fresh, {0: 0, 1: 0}, **args) == one_vc
+
+    def test_arrays_hash_once_per_trace(self, monkeypatch):
+        made = []
+        real = hashlib.blake2b
+
+        def counting(**kwargs):
+            made.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counting)
+        trace = make_trace([0, 1, 2, 3], [0, 0, 1, 1], 100.0)
+        for mapping in ({0: 0, 1: 1}, {0: 0, 1: 0}, {0: 1, 1: 0}):
+            for n_intervals in (1, 2):
+                profiling._fingerprint(trace, mapping, 1024, 4, n_intervals, 0)
+        assert len(made) == 1
+
     def test_region_relabel_changes_fingerprint(self, cache_env):
         lines = [0, 1, 2, 3]
         a = make_trace(lines, [0, 0, 1, 1], 100.0)
@@ -270,3 +306,171 @@ class TestStoreBackedCache:
         assert list(ArtifactStore().artifacts("profiles")) == []
         # Stale sidecars would otherwise be reported by gc forever.
         assert ArtifactStore().gc(dry_run=True)["removed"] == []
+
+
+def random_trace(seed, n=200):
+    rng = np.random.default_rng(seed)
+    return make_trace(
+        rng.integers(0, 64, size=n), rng.integers(0, 4, size=n), 5000.0
+    )
+
+
+MEMO_KWARGS = dict(
+    mapping={0: 0, 1: 0, 2: 1, 3: 1}, chunk_bytes=1024, n_chunks=4, n_intervals=2
+)
+
+
+def all_curves(curves):
+    return [c for series in curves.values() for c in series]
+
+
+class TestReadOnlyCurves:
+    """Loaded curves and their cached hulls reject in-place writes."""
+
+    def assert_read_only(self, curves):
+        for curve in all_curves(curves):
+            # The write the lint rule forbids, made on purpose: numpy
+            # must reject it at runtime on every load path.
+            with pytest.raises(ValueError):
+                curve.misses[0] = -1.0  # repro: noqa[mmap-write-safety]
+            with pytest.raises(ValueError):
+                curve.convex_hull()[0] = -1.0
+
+    def cold(self):
+        return profile_vcs(random_trace(13), use_cache=False, **MEMO_KWARGS)
+
+    def test_fixture_pile_load(self, tmp_path):
+        # The committed pile is compressed, so loads take np.load.
+        path = tmp_path / "fixture.npz"
+        np.savez_compressed(path, **encode_payload(self.cold()))
+        self.assert_read_only(load_profile(path, 1024, 2))
+
+    def test_store_mmap_load(self, tmp_path):
+        path = publish_profile(ArtifactStore(tmp_path), "ab" * 16, self.cold())
+        loaded = load_profile(path, 1024, 2)
+        assert all(c.misses.base is not None for c in all_curves(loaded))
+        self.assert_read_only(loaded)
+
+    def test_computed_curves_are_served_read_only(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
+        self.assert_read_only(profile_vcs(random_trace(13), **MEMO_KWARGS))
+
+
+class TestCurveMemo:
+    """Repeat requests for one payload are served from the process memo."""
+
+    @pytest.fixture()
+    def memo(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
+        memo = profiling._CurveMemo(profiling._MEMO_BYTES)
+        monkeypatch.setattr(profiling, "_MEMO", memo)
+        return memo
+
+    def seed(self, memo, seed=5):
+        """Publish one profile, then forget it; returns (trace, cold)."""
+        trace = random_trace(seed)
+        cold = profile_vcs(trace, use_cache=False, **MEMO_KWARGS)
+        profile_vcs(trace, **MEMO_KWARGS)
+        memo.clear()
+        return trace, cold
+
+    def count_loads(self, monkeypatch):
+        calls = []
+        real = profiling.load_profile
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(profiling, "load_profile", counting)
+        return calls
+
+    def test_repeats_load_once_and_share_hulls(self, memo, monkeypatch):
+        trace, cold = self.seed(memo)
+        loads = self.count_loads(monkeypatch)
+        hulls = []
+        real_hull = miss_curve._lower_convex_hull_fast
+
+        def counting_hull(values):
+            hulls.append(1)
+            return real_hull(values)
+
+        monkeypatch.setattr(miss_curve, "_lower_convex_hull_fast", counting_hull)
+        served = [profile_vcs(trace, **MEMO_KWARGS) for __ in range(3)]
+        for curves in served:
+            prime_hull_caches(all_curves(curves))
+        assert len(loads) == 1
+        assert len(hulls) == len(all_curves(cold))
+        for curves in served[1:]:
+            assert all(
+                a is b for a, b in zip(all_curves(curves), all_curves(served[0]))
+            )
+        assert_curves_equal(served[-1], cold)
+
+    def test_returned_containers_are_fresh(self, memo):
+        trace, cold = self.seed(memo)
+        first = profile_vcs(trace, **MEMO_KWARGS)
+        vc = next(iter(first))
+        first[vc].reverse()
+        first.pop(vc)
+        first[99] = []
+        second = profile_vcs(trace, **MEMO_KWARGS)
+        assert_curves_equal(second, cold)
+        second[vc][0] = None
+        assert_curves_equal(profile_vcs(trace, **MEMO_KWARGS), cold)
+
+    def test_replaced_payload_invalidates_entry(
+        self, memo, tmp_path, monkeypatch
+    ):
+        trace, cold = self.seed(memo)
+        profile_vcs(trace, **MEMO_KWARGS)
+        ((__, __, path),) = ArtifactStore().artifacts("profiles")
+        other = {
+            vc: [c.scaled(2.0) for c in series] for vc, series in cold.items()
+        }
+        staged = publish_profile(ArtifactStore(tmp_path / "other"), "cd" * 16, other)
+        loads = self.count_loads(monkeypatch)
+        os.replace(staged, path)
+        assert_curves_equal(profile_vcs(trace, **MEMO_KWARGS), other)
+        assert loads == [path]
+
+    def test_cache_roots_do_not_alias(self, memo, tmp_path, monkeypatch):
+        # Two stores hold different payloads under one fingerprint.
+        trace = random_trace(5)
+        key = profiling._fingerprint(trace, MEMO_KWARGS["mapping"], 1024, 4, 2, 0)
+        cold = profile_vcs(trace, use_cache=False, **MEMO_KWARGS)
+        other = {
+            vc: [c.scaled(3.0) for c in series] for vc, series in cold.items()
+        }
+        publish_profile(ArtifactStore(tmp_path / "a"), key, cold)
+        publish_profile(ArtifactStore(tmp_path / "b"), key, other)
+        for root, want in (("a", cold), ("b", other), ("a", cold)):
+            monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / root))
+            assert_curves_equal(profile_vcs(trace, **MEMO_KWARGS), want)
+
+    def test_retained_bytes_stay_within_bound(self, memo):
+        profile_vcs(random_trace(100), **MEMO_KWARGS)
+        memo.limit = memo.nbytes * 3 + memo.nbytes // 2
+        for seed in range(101, 141):
+            profile_vcs(random_trace(seed), **MEMO_KWARGS)
+            assert memo.nbytes <= memo.limit
+        assert len(memo._entries) == 3
+
+    def test_use_cache_false_never_touches_memo(self, memo, monkeypatch):
+        trace, cold = self.seed(memo)
+        shared = profile_vcs(trace, **MEMO_KWARGS)
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("use_cache=False consulted the memo")
+
+        monkeypatch.setattr(memo, "get", untouchable)
+        monkeypatch.setattr(memo, "put", untouchable)
+        out = profile_vcs(trace, use_cache=False, **MEMO_KWARGS)
+        assert_curves_equal(out, cold)
+        for mine, theirs in zip(all_curves(out), all_curves(shared)):
+            assert mine is not theirs
+            assert mine.misses.flags.writeable
