@@ -3,9 +3,12 @@
 Same contract as ``test_perf_profiling.py`` one layer up the stack: the
 vectorized waterfilling allocator must beat (and stay >= 5x faster than)
 the retained chunk-at-a-time oracle on a 64-consumer x 4096-chunk
-instance, while returning bit-identical allocations.  Timings are also
-written as JSON (``benchmarks/perf_partition_timings.json``, gitignored)
-so CI can upload them as an artifact; wall-clock numbers stay out of
+instance, while returning bit-identical allocations.  A second pair of
+gates runs curves shaped like the 16-core Fig 22 grid's, whose minimum
+comes early: the hull scan and the allocator must each stay >= 5x faster
+than their oracles there.  Timings are also written as JSON
+(``benchmarks/perf_partition_timings.json``, gitignored) so CI can
+upload them as an artifact; wall-clock numbers stay out of
 ``benchmarks/results/``.
 """
 
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.curves.miss_curve import _lower_convex_hull, _lower_convex_hull_fast
 from repro.curves.partition import (
     partition_cost_curves,
     partition_cost_curves_reference,
@@ -27,11 +31,11 @@ TIMINGS_PATH = Path(__file__).parent / "perf_partition_timings.json"
 
 
 def _instance(n_consumers=N_CONSUMERS, n_chunks=N_CHUNKS, seed=11):
-    """Hull-shaped cost curves: convex decay plus a few concave cliffs.
+    """Synthetic cost curves: convex decay plus a few concave cliffs.
 
-    This is what the Jigsaw call site feeds the partitioner — latency
-    curves built on convex-hulled miss curves, with occasional concave
-    corners from the bank-distance steps.
+    Every curve falls to its last point, so every chunk is in play and
+    the merge ranks all marginal gains: a stress case for the allocator,
+    not the shape Jigsaw sends (see :func:`_real_instance`).
     """
     rng = np.random.default_rng(seed)
     curves = []
@@ -41,6 +45,26 @@ def _instance(n_consumers=N_CONSUMERS, n_chunks=N_CHUNKS, seed=11):
         for pos in rng.integers(1, n_chunks, size=3):
             vals[:pos] += rng.uniform(50, 200)
         curves.append(vals)
+    return curves
+
+
+def _real_instance(rising, n_curves=48, n_points=1297, seed=13):
+    """Curves shaped like the 16-core grid's (1297 points, 1296 chunks).
+
+    A step-shaped falling head reaches the minimum at 2-20% of the grid.
+    The tail is flat for a miss curve or rate row (what the hull scan
+    sees) and rising for a latency curve past its best size, where the
+    network term outgrows the saved misses (what Jigsaw partitions).
+    """
+    rng = np.random.default_rng(seed)
+    curves = []
+    for __ in range(n_curves):
+        m = int(rng.integers(n_points // 50, n_points // 5))
+        drops = rng.exponential(1.0, m) * (rng.random(m) < 0.5)
+        drops[-1] += 1e-3  # the head ends strictly above the minimum
+        head = 1.0 + np.cumsum(drops[::-1])[::-1]
+        steps = rng.exponential(1e-3, n_points - m) if rising else np.zeros(n_points - m)
+        curves.append(np.concatenate([head, 1.0 + np.cumsum(steps)]))
     return curves
 
 
@@ -54,7 +78,7 @@ def _best_of(fn, repeats=3):
 
 
 def _record_timings(name, t_vec, t_ref):
-    """Append one benchmark's timings to the CI artifact JSON."""
+    """Append one benchmark's timings (fast engine vs oracle) to the CI artifact JSON."""
     record_timings(
         TIMINGS_PATH,
         name,
@@ -106,6 +130,37 @@ class TestPerfPartition:
         _record_timings("smoke_64x4096", t_vec, t_ref)
         print(
             f"\n[perf] partition 64x4096: vectorized {t_vec*1e3:.1f} ms, "
+            f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
+        )
+        assert speedup >= 5.0, f"speedup regressed to {speedup:.1f}x"
+
+    def test_perf_real_shape_hull_speedup(self):
+        """48 flat-tailed 16-core curves: the hull scan stops at each minimum."""
+        curves = _real_instance(rising=False)
+        t_fast, got = _best_of(lambda: [_lower_convex_hull_fast(c) for c in curves], repeats=5)
+        t_ref, want = _best_of(lambda: [_lower_convex_hull(c) for c in curves], repeats=5)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        speedup = t_ref / t_fast
+        _record_timings("hull_real_48x1297", t_fast, t_ref)
+        print(
+            f"\n[perf] hull 48x1297 real-shaped: fast {t_fast*1e3:.1f} ms, "
+            f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
+        )
+        assert speedup >= 5.0, f"hull speedup regressed to {speedup:.1f}x"
+
+    def test_perf_real_shape_partition_speedup(self):
+        """48 rising-tailed 16-core latency curves sharing the whole LLC."""
+        curves = _real_instance(rising=True)
+        total = len(curves[0]) - 1
+        t_vec, got = _best_of(lambda: partition_cost_curves(curves, total), repeats=5)
+        t_ref, want = _best_of(
+            lambda: partition_cost_curves_reference(curves, total), repeats=5
+        )
+        assert got == want
+        speedup = t_ref / t_vec
+        _record_timings("partition_real_48x1297", t_vec, t_ref)
+        print(
+            f"\n[perf] partition 48x1297 real-shaped: vectorized {t_vec*1e3:.1f} ms, "
             f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
         )
         assert speedup >= 5.0, f"speedup regressed to {speedup:.1f}x"

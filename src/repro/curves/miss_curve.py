@@ -50,8 +50,12 @@ class MissCurve:
         # Already-normalized arrays (every curve a cache load hands back)
         # pass through untouched, so memory-mapped payloads stay read-only
         # zero-copy views.  Non-increasing + final value >= 0 implies all
-        # values >= 0, making accumulate-then-clip the identity.
-        if m[-1] >= 0.0 and bool((m[1:] <= m[:-1]).all()):
+        # values >= 0, making accumulate-then-clip the identity, and all
+        # values finite exactly when the first one is.
+        normalized = m[-1] >= 0.0 and bool((m[1:] <= m[:-1]).all())
+        if not np.isfinite(m[0] if normalized else m).all():
+            raise ValueError("misses must be finite (no NaN or inf)")
+        if normalized:
             self.misses = m
             return
         # Enforce monotonicity: profiling noise (sampling) can produce tiny
@@ -300,18 +304,41 @@ def _lower_convex_hull(values: np.ndarray) -> np.ndarray:
     return np.interp(np.arange(n, dtype=np.float64), xs, ys)
 
 
+def _first_minimum(values: np.ndarray) -> int:
+    """First argmin, or the last index if NaN, inf or chord-test overflow is possible."""
+    m = int(values.argmin())
+    if not np.isfinite((values.max() - values[m]) * len(values)):
+        return len(values) - 1
+    return m
+
+
 def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
     """Fast lower convex hull, bit-identical to :func:`_lower_convex_hull`.
 
-    Runs the same monotone-chain scan with two exact accelerations:
+    Runs the same monotone-chain scan with three exact accelerations:
 
-    - All pop tests for *consecutive* stack tops — the test applied when
-      the chain has not popped recently, i.e. almost always on smooth
-      curves — are precomputed in one vectorized pass (``(v[j]-v[j-1])*2
-      >= (v[j+1]-v[j-1])``, the chord test with ``i0=j-1, i1=j, i=j+1``;
-      ``*2``/``*1`` are exact in IEEE so the values match the scalar
-      test).  Runs with no pop are bulk-appended at C speed and the
-      python loop only touches the stop points.
+    - When every value after the first minimum ``m`` equals ``values[m]``
+      (every miss curve and rate row: they are non-increasing), only
+      ``values[:m+1]`` is scanned and ``n-1`` is pushed after it.  Real
+      curves reach ``m`` at a few percent of the grid, and most of the
+      reference scan's pops come after it.  Other inputs (a rising tail,
+      NaN, infinities) take the full scan.  This is exact: ``m`` is never
+      popped, because a later point ``i`` tests ``(s, m, i)`` with ``v[s]
+      > v[m]`` (``m`` is the *first* minimum) and ``v[i] >= v[m]``, so
+      ``d = v[m] - v[s] < 0`` and ``d*(i-s) < d*(m-s) <= (v[i]-v[s])*(m-s)``;
+      rounding is monotone, and the two products of ``d`` stay finite
+      (:func:`_first_minimum`) and differ by far more than an ulp.
+      Points below ``m`` are never tested again, and on a constant suffix
+      each point ties with its predecessor (``0 >= 0``) and pops it,
+      leaving only ``n-1``.  The stack is interpolated once; the tail is
+      not copied from ``values``, because inside a ``-0.0`` plateau
+      ``np.interp`` returns ``+0.0``, and so does the reference.
+    - All pop tests for *consecutive* stack tops are precomputed in one
+      vectorized pass (``(v[j]-v[j-1])*2 >= (v[j+1]-v[j-1])``, the chord
+      test with ``i0=j-1, i1=j, i=j+1``; ``*2``/``*1`` are exact in IEEE
+      so the values match the scalar test).  Runs with no pop (convex
+      stretches) are bulk-appended at C speed and the python loop only
+      touches the stop points.
     - The scalar fallback around stops works on a plain python list
       (identical IEEE doubles, much cheaper indexing than numpy scalars).
 
@@ -324,12 +351,15 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
     n = len(values)
     if n <= 2:
         return values.copy()
-    v = values.tolist()
+    m = _first_minimum(values)
+    flat_tail = m < n - 1 and bool((values[m + 1 :] == values[m]).all())
+    head = values[: m + 1] if flat_tail else values
+    end = len(head)
+    v = head.tolist()
     # stop_tops[j]: incoming j+1 pops top j when the pair (j-1, j) is on
     # top of the stack.  Everywhere else the chain cruises.
     stop_tops = (
-        np.nonzero((values[1:-1] - values[:-2]) * 2.0 >= values[2:] - values[:-2])[0]
-        + 1
+        np.nonzero((head[1:-1] - head[:-2]) * 2.0 >= head[2:] - head[:-2])[0] + 1
     ).tolist()
     n_stops = len(stop_tops)
     s = 0
@@ -338,7 +368,7 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
     # (an understatement is fine; it only skips the vectorized paths).
     run_len = 1
     i = 1
-    while i < n:
+    while i < end:
         if run_len >= 2 and stack[-1] == i - 1:
             # Cruise: top pair is consecutive, so the precomputed tests
             # apply.  Bulk-push through the pop-free run (empty when the
@@ -346,7 +376,7 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
             # chain, which performs the identical test and pops).
             while s < n_stops and stop_tops[s] < i - 1:
                 s += 1
-            run_end = stop_tops[s] - 1 if s < n_stops else n - 1
+            run_end = stop_tops[s] - 1 if s < n_stops else end - 1
             if run_end >= i:
                 stack.extend(range(i, run_end + 1))
                 run_len += run_end - i + 1
@@ -383,6 +413,8 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
         stack.append(i)
         run_len = run_len + 1 if stack[-2] == i - 1 else 1
         i += 1
+    if flat_tail:
+        stack.append(n - 1)
     if len(stack) == n:
         return values.copy()
     xs = np.asarray(stack, dtype=np.float64)

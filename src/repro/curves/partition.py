@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.curves.miss_curve import (
     MissCurve,
+    _first_minimum,
     _lower_convex_hull,
     _lower_convex_hull_fast,
     map_pair_batches,
@@ -101,7 +102,7 @@ def partition_cost_curves(
 
     Raises:
         ValueError: on an empty curve list, non-positive ``total_chunks``,
-            or a curve with fewer than two points.
+            a curve with fewer than two points, or a NaN or infinite cost.
     """
     if not len(cost_curves):
         raise ValueError("cost_curves must not be empty")
@@ -115,8 +116,13 @@ def partition_cost_curves(
                 f"cost curve {k} must be 1-D with at least 2 points, "
                 f"got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"cost curve {k} must be finite (no NaN or inf)")
         arrays.append(arr)
-    hulls = [_lower_convex_hull_fast(a) for a in arrays]
+    # Hull each curve only up to its first minimum m: hull gains past m
+    # are <= 0 (never taken; dropping them keeps the stable order of the
+    # rest), and hull values on [0, m] use only vertices <= m (m is one).
+    hulls = [_lower_convex_hull_fast(a[: _first_minimum(a) + 1]) for a in arrays]
     # Marginal gain of each consumer's next chunk.  Convexity makes every
     # stream non-increasing mathematically, but hull re-interpolation can
     # break that by an ulp; the running minimum restores it *and* keeps

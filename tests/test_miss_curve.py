@@ -28,6 +28,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MissCurve(np.ones(3), chunk_bytes=0, accesses=1, instructions=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [0, 1, 3])
+    def test_rejects_non_finite(self, bad, pos):
+        # [inf, 3, 1, 0] is already normalized: only misses[0] is checked.
+        values = [8.0, 3.0, 1.0, 0.0]
+        values[pos] = bad
+        with pytest.raises(ValueError, match="finite"):
+            curve(values)
+
     def test_monotonicity_enforced(self):
         c = curve([10, 5, 7, 3])
         assert list(c.misses) == [10, 5, 5, 3]
