@@ -21,6 +21,7 @@ from repro.curves.miss_curve import MissCurve
 from repro.obs.timings import infer_unit, record_timings
 from repro.sim import profiling
 from repro.store import ArtifactStore, load_profile, publish_profile
+from repro.store.mmapzip import is_mapped
 from repro.store.profiles import encode_payload
 from repro.workloads.trace import Trace
 
@@ -127,7 +128,7 @@ class TestPerfStore:
         for per_interval in mapped.values():
             for curve in per_interval:
                 assert not curve.misses.flags.writeable
-                assert curve.misses.base is not None
+                assert is_mapped(curve.misses)
         for vc, per_interval in loaded.items():
             for got, want in zip(mapped[vc], per_interval):
                 assert np.array_equal(got.misses, want.misses)
@@ -153,7 +154,6 @@ class TestPerfStore:
 
     def test_perf_smoke_memo_repeat_profile(self, tmp_path, monkeypatch):
         """CI gate: a repeat profile_vcs reads no payload, >= FLOOR x a mapped load."""
-        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         monkeypatch.setattr(
             profiling, "_MEMO", profiling._CurveMemo(profiling._MEMO_BYTES)

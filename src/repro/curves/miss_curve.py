@@ -27,8 +27,8 @@ class MissCurve:
 
     Attributes:
         misses: ``misses[i]`` is the number of misses with a cache of
-            ``i * chunk_bytes`` bytes.  Non-increasing, length ``n + 1``
-            where ``n`` is the number of chunks spanned.
+            ``i * chunk_bytes`` bytes.  Non-increasing and read-only,
+            length ``n + 1`` where ``n`` is the number of chunks spanned.
         chunk_bytes: grid granularity in bytes.
         accesses: number of accesses profiled into this curve.
         instructions: instructions executed over the profiling window
@@ -48,20 +48,25 @@ class MissCurve:
         if self.chunk_bytes <= 0:
             raise ValueError(f"chunk_bytes must be positive, got {self.chunk_bytes}")
         # Already-normalized arrays (every curve a cache load hands back)
-        # pass through untouched, so memory-mapped payloads stay read-only
-        # zero-copy views.  Non-increasing + final value >= 0 implies all
-        # values >= 0, making accumulate-then-clip the identity, and all
-        # values finite exactly when the first one is.
+        # are not copied, so memory-mapped payloads stay zero-copy views.
+        # Non-increasing + final value >= 0 implies all values >= 0,
+        # making accumulate-then-clip the identity, and all values finite
+        # exactly when the first one is.
         normalized = m[-1] >= 0.0 and bool((m[1:] <= m[:-1]).all())
         if not np.isfinite(m[0] if normalized else m).all():
             raise ValueError("misses must be finite (no NaN or inf)")
         if normalized:
-            self.misses = m
-            return
-        # Enforce monotonicity: profiling noise (sampling) can produce tiny
-        # upticks; a miss curve is non-increasing by definition.
-        m = np.minimum.accumulate(m)
-        np.clip(m, 0.0, None, out=m)
+            if m.flags.writeable:
+                # A view, so the caller's own buffer stays writable.
+                m = m.view()
+        else:
+            # Enforce monotonicity: profiling noise (sampling) can produce
+            # tiny upticks; a miss curve is non-increasing by definition.
+            m = np.minimum.accumulate(m)
+            np.clip(m, 0.0, None, out=m)
+        # Curves are shared (the profile memo, mapped payloads, cached
+        # hulls), so numpy must reject every in-place write to one.
+        m.flags.writeable = False
         self.misses = m
 
     # ------------------------------------------------------------------

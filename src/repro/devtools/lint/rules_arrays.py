@@ -1,8 +1,9 @@
-"""Array discipline: read-only mmap views and 64-bit packed words.
+"""Array discipline: 64-bit packed words.
 
-Two rules over array-handling code: loader returns are zero-copy views
-into shared archive bytes and must never be mutated in place, and
 ``pos << 32 | count`` packing must happen in an explicit 64-bit dtype.
+Read-only payloads need no rule: every ``MissCurve`` stores a read-only
+array and mapped archive members are ``ACCESS_READ`` views, so numpy
+rejects an in-place write at runtime, through any alias.
 """
 
 from __future__ import annotations
@@ -15,225 +16,10 @@ from repro.devtools.lint.base import (
     LintedFile,
     Project,
     Rule,
-    call_name,
     register_rule,
 )
 
-__all__ = ["MmapWriteSafetyRule", "PackedWordDtypeRule"]
-
-#: Calls whose return values are zero-copy views into mmapped archive
-#: bytes (repro.store loaders and payload decoders).
-_TAINT_CALLS = {"load_profile", "npz_arrays", "decode_payload", "npy_member"}
-
-#: Calls that return the same buffer when no conversion is needed —
-#: they propagate view-ness rather than laundering it.
-_VIEW_PRESERVING = {"asarray", "ascontiguousarray"}
-
-#: ndarray methods that mutate in place.
-_MUTATING_METHODS = {
-    "sort",
-    "fill",
-    "partition",
-    "put",
-    "resize",
-    "setflags",
-    "byteswap",
-}
-
-
-def _is_payload_attr(node: ast.expr) -> bool:
-    """``<obj>.misses`` — the MissCurve payload array alias."""
-    return isinstance(node, ast.Attribute) and node.attr == "misses"
-
-
-class _TaintScope:
-    """Statement-ordered taint over one function (or module) body."""
-
-    def __init__(self, rule: Rule, f: LintedFile) -> None:
-        self.rule = rule
-        self.f = f
-        self.tainted: set[str] = set()
-        self.findings: list[Finding] = []
-
-    # -- taint queries -------------------------------------------------
-    def is_tainted(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self.tainted
-        if isinstance(node, ast.Subscript):
-            # Slicing a view yields a view of the same bytes.
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.Call):
-            name = call_name(node.func)
-            leaf = name.split(".")[-1] if name else None
-            if leaf in _TAINT_CALLS or (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TAINT_CALLS
-            ):
-                return True
-            if leaf in _VIEW_PRESERVING and node.args:
-                return self.is_tainted(node.args[0]) or _is_payload_attr(
-                    node.args[0]
-                )
-        return False
-
-    # -- statement walk ------------------------------------------------
-    def run(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
-
-    def _stmt(self, stmt: ast.stmt) -> None:
-        # Nested defs get their own scope (handled by the rule driver).
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return
-        self._check_out_kwargs(stmt)
-        if isinstance(stmt, ast.Assign):
-            self._check_store_targets(stmt.targets, stmt)
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    if self.is_tainted(stmt.value):
-                        self.tainted.add(target.id)
-                    else:
-                        self.tainted.discard(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._check_store_targets([stmt.target], stmt)
-            if isinstance(stmt.target, ast.Name):
-                if self.is_tainted(stmt.value):
-                    self.tainted.add(stmt.target.id)
-                else:
-                    self.tainted.discard(stmt.target.id)
-        elif isinstance(stmt, ast.AugAssign):
-            target = stmt.target
-            if isinstance(target, ast.Name) and target.id in self.tainted:
-                self._flag(
-                    stmt,
-                    f"augmented assignment mutates {target.id!r}, a "
-                    "zero-copy view of mmapped archive bytes; copy first "
-                    "(np.array(...)) before writing",
-                )
-            elif isinstance(target, ast.Subscript) and (
-                self.is_tainted(target.value)
-                or _is_payload_attr(target.value)
-            ):
-                self._flag(
-                    stmt,
-                    f"in-place update into "
-                    f"{ast.unparse(target.value)!r} mutates a read-only "
-                    "mmap view / MissCurve payload; copy before writing",
-                )
-            # AugAssign on a bare attribute (stats.misses += 1) is the
-            # scalar-counter idiom, not an array store — not flagged.
-        elif isinstance(stmt, ast.Expr):
-            self._check_mutating_call(stmt.value)
-        elif isinstance(stmt, ast.For):
-            if isinstance(stmt.target, ast.Name):
-                if self.is_tainted(stmt.iter):
-                    self.tainted.add(stmt.target.id)
-                else:
-                    self.tainted.discard(stmt.target.id)
-            self.run(stmt.body)
-            self.run(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.run(stmt.body)
-            self.run(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self.run(stmt.body)
-            self.run(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            self.run(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.run(stmt.body)
-            for handler in stmt.handlers:
-                self.run(handler.body)
-            self.run(stmt.orelse)
-            self.run(stmt.finalbody)
-
-    # -- violation checks ----------------------------------------------
-    def _check_store_targets(
-        self, targets: list[ast.expr], stmt: ast.stmt
-    ) -> None:
-        for target in targets:
-            if isinstance(target, ast.Subscript) and (
-                self.is_tainted(target.value)
-                or _is_payload_attr(target.value)
-            ):
-                self._flag(
-                    stmt,
-                    f"subscript store into "
-                    f"{ast.unparse(target.value)!r} mutates a read-only "
-                    "mmap view / MissCurve payload in place; copy first",
-                )
-
-    def _check_mutating_call(self, expr: ast.expr) -> None:
-        if not isinstance(expr, ast.Call):
-            return
-        func = expr.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _MUTATING_METHODS
-            and (self.is_tainted(func.value) or _is_payload_attr(func.value))
-        ):
-            self._flag(
-                expr,
-                f".{func.attr}() mutates "
-                f"{ast.unparse(func.value)!r} in place; it is a zero-copy "
-                "view of mmapped archive bytes — copy before mutating "
-                "(or use the returning variant, e.g. np.sort)",
-            )
-
-    def _check_out_kwargs(self, stmt: ast.stmt) -> None:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                for kw in node.keywords:
-                    if kw.arg == "out" and (
-                        self.is_tainted(kw.value)
-                        or _is_payload_attr(kw.value)
-                    ):
-                        self._flag(
-                            node,
-                            f"out={ast.unparse(kw.value)} writes through "
-                            "a read-only mmap view / MissCurve payload; "
-                            "allocate the output instead",
-                        )
-
-    def _flag(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            self.rule.finding(self.f, getattr(node, "lineno", 1), message)
-        )
-
-
-@register_rule
-class MmapWriteSafetyRule(Rule):
-    """Never mutate store loader returns or MissCurve payloads in place.
-
-    ``load_profile`` / ``npz_arrays`` / ``decode_payload`` /
-    ``.npy_member()`` hand back zero-copy views into mmapped (or shared)
-    archive bytes, and ``MissCurve.misses`` aliases such a view on the
-    fast path.  In-place mutation either crashes (read-only mmap) or —
-    worse — silently corrupts the shared backing bytes every other
-    reader sees.  The rule taint-tracks loader returns through
-    ``np.asarray`` / slicing within each function and flags augmented
-    assignment, subscript stores, in-place ndarray methods
-    (``.sort()``, ``.fill()``, ...), and ``out=`` arguments targeting a
-    tainted array or a ``.misses`` payload.  Copy first
-    (``np.array(view)``) when a mutable buffer is genuinely needed.
-    """
-
-    id = "mmap-write-safety"
-
-    def check_file(
-        self, f: LintedFile, project: Project
-    ) -> Iterator[Finding]:
-        if f.tree is None:
-            return
-        for _qual, node in self.functions(f.tree):
-            scope = _TaintScope(self, f)
-            scope.run(node.body)
-            yield from scope.findings
-        module_scope = _TaintScope(self, f)
-        module_scope.run(f.tree.body)
-        yield from module_scope.findings
+__all__ = ["PackedWordDtypeRule"]
 
 
 @register_rule

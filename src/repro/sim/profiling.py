@@ -6,11 +6,11 @@ shares a VC layout reuses the same curves, so results are cached on disk
 keyed by a fingerprint of (trace, VC mapping, grid parameters).
 
 Cached profiles live in the content-addressed artifact store
-(:mod:`repro.store`), which memory-maps payloads so N campaign workers
-share one page-cache copy of each curve set.  Two legacy paths remain:
-``$REPRO_PROFILE_CACHE`` pins the original flat-directory cache (tests
-and hermetic runs), and the committed ``.profile_cache/`` fixture pile
-is still read — never rewritten — when the store misses.
+(:mod:`repro.store`), the only place profiles are written.  The store
+memory-maps payloads so N campaign workers share one page-cache copy of
+each curve set; a hermetic run points ``$REPRO_STORE_DIR`` at a
+directory of its own.  When the store misses, the committed
+``.profile_cache/`` fixture pile is read, never written.
 
 Within a process, each payload is decoded once: a bounded memo keyed by
 the payload file hands every later request the same read-only curves,
@@ -32,7 +32,7 @@ from repro.curves.reuse import StackDistanceProfiler
 from repro.store.profiles import FORMAT_VERSION, load_profile
 from repro.workloads.trace import Trace
 
-__all__ = ["profile_vcs", "cache_dir", "clear_cache", "relabel_regions"]
+__all__ = ["profile_vcs", "clear_cache", "relabel_regions"]
 
 
 def relabel_regions(
@@ -51,8 +51,6 @@ def relabel_regions(
         if 0 <= rid <= max_rid:
             lut[rid] = vc
     return lut[regions]
-
-_ENV_CACHE = "REPRO_PROFILE_CACHE"
 
 #: On-disk cache version (defined in :mod:`repro.store.profiles`, the
 #: payload's single source of truth).  Version 1 fingerprints hashed only
@@ -81,13 +79,12 @@ class _CurveMemo:
     """Least-recently-used curve sets, keyed by the payload they came from.
 
     A key holds the payload's path, device, inode, size and mtime, so a
-    replaced or rewritten file misses its old entry, and switching cache
-    roots (``$REPRO_PROFILE_CACHE``, ``$REPRO_STORE_DIR``) cannot alias
-    entries.  The curves are read-only and shared; their hull caches
-    fill in as schemes use them.  An entry costs its payload (the mapped
-    file, or the decoded arrays when larger) plus one hull per curve, so
-    the bound also caps the mappings, each holding a file descriptor,
-    that the memo keeps alive.
+    replaced or rewritten file misses its old entry, and switching store
+    roots (``$REPRO_STORE_DIR``) cannot alias entries.  The curves are
+    read-only and shared; their hull caches fill in as schemes use them.
+    An entry costs its payload (the mapped file, or the decoded arrays
+    when larger) plus one hull per curve, so the bound also caps the
+    mappings, each holding a file descriptor, that the memo keeps alive.
     """
 
     def __init__(self, limit: int) -> None:
@@ -121,27 +118,11 @@ class _CurveMemo:
 _MEMO = _CurveMemo(_MEMO_BYTES)
 
 
-def cache_dir() -> Path:
-    """The flat legacy cache directory ($REPRO_PROFILE_CACHE).
-
-    With the variable set, this directory *is* the cache (the store is
-    not consulted — hermetic runs see exactly the files they seeded).
-    Without it, new profiles go to the artifact store and this resolves
-    to the committed read-only fixture pile.
-    """
-    root = os.environ.get(_ENV_CACHE)
-    if root:
-        return Path(root)
-    return Path(__file__).resolve().parents[3] / ".profile_cache"
-
-
 def _fixture_dir() -> Path | None:
     """The committed fixture pile, when running from a source checkout.
 
-    Installed packages have no checkout around them — the old
-    ``parents[3]``-relative default then pointed into the install prefix
-    (e.g. next to ``site-packages``); returning ``None`` routes
-    everything to the store instead.
+    Installed packages have no checkout around them, so this returns
+    ``None`` and every profile comes from the store.
     """
     legacy = Path(__file__).resolve().parents[3] / ".profile_cache"
     return legacy if legacy.is_dir() else None
@@ -154,22 +135,12 @@ def _profile_store():
 
 
 def clear_cache() -> int:
-    """Delete all cached profiles; returns the number of files removed.
+    """Delete the store's cached profiles; returns the number removed.
 
-    Clears whichever cache is active: the legacy flat directory when
-    ``$REPRO_PROFILE_CACHE`` is set, the store's profile kind otherwise
-    (committed fixtures are never deleted).
+    The committed fixtures are never deleted.
     """
     _MEMO.clear()
     n = 0
-    if os.environ.get(_ENV_CACHE):
-        directory = cache_dir()
-        if not directory.exists():
-            return 0
-        for f in directory.glob("*.npz"):
-            f.unlink()
-            n += 1
-        return n
     store = _profile_store()
     for kind, fingerprint, path in list(store.artifacts("profiles")):
         path.unlink(missing_ok=True)
@@ -288,8 +259,6 @@ def _load(key: str, chunk_bytes: int, n_intervals: int) -> Curves | None:
     # A stale or partially written file (missing arrays, wrong layout
     # version, truncated index) falls back to re-profiling instead of
     # crashing the run; load_profile absorbs all of that into None.
-    if os.environ.get(_ENV_CACHE):
-        return _load_payload(cache_dir() / f"{key}.npz", chunk_bytes, n_intervals)
     path = _profile_store().path("profiles", key)
     curves = _load_payload(path, chunk_bytes, n_intervals)
     if curves is None:
@@ -327,25 +296,7 @@ def _load_payload(
 
 
 def _store(key: str, curves: Curves, inputs: dict | None = None) -> Path:
-    """Write ``curves`` to the active cache; returns the payload path."""
-    if os.environ.get(_ENV_CACHE):
-        from repro.store.profiles import encode_payload
-
-        directory = cache_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = encode_payload(curves)
-        # Write-to-temp + atomic rename: parallel campaign workers
-        # profiling the same fingerprint must never expose a
-        # half-written file.
-        path = directory / f"{key}.npz"
-        tmp = directory / f".{key}.{os.getpid()}.tmp.npz"
-        try:
-            np.savez_compressed(tmp, **payload)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return path
+    """Publish ``curves`` to the store; returns the payload path."""
     from repro.store import provenance_record, publish_profile
 
     return publish_profile(

@@ -23,9 +23,7 @@ a crash leaves at most a dot-prefixed temp that ``gc`` removes.
 
 The root resolves from ``$REPRO_STORE_DIR``; without it, a source
 checkout keeps artifacts in ``<repo>/.repro_store`` while an installed
-package falls back to the per-user cache directory — unlike the legacy
-``parents[3]``-relative cache default, which resolved into the install
-prefix (e.g. next to ``site-packages``) and broke installed packages.
+package falls back to the per-user cache directory.
 """
 
 from __future__ import annotations

@@ -85,8 +85,8 @@ def _import_legacy(store: ArtifactStore, dry_run: bool) -> int:
     from repro.workloads import registry
 
     n = 0
-    legacy_profiles = profiling.cache_dir()
-    if legacy_profiles.is_dir():
+    legacy_profiles = profiling._fixture_dir()
+    if legacy_profiles is not None:
         for path in sorted(legacy_profiles.glob("*.npz")):
             if path.name.startswith(".") or store.get("profiles", path.stem):
                 continue

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MappedArchive", "npz_arrays"]
+__all__ = ["MappedArchive", "is_mapped", "npz_arrays"]
 
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -127,3 +127,20 @@ def npz_arrays(path: str | Path) -> dict[str, np.ndarray] | None:
         key = name[:-4] if name.endswith(".npy") else name
         out[key] = arr
     return out
+
+
+def is_mapped(array: np.ndarray) -> bool:
+    """Whether ``array`` views a file mapping, through any chain of views.
+
+    A mapped member's chain runs ndarray -> ndarray -> memoryview ->
+    ``mmap``; a decoded copy ends at its own buffer.
+    """
+    base: object = array
+    while base is not None:
+        if isinstance(base, mmap.mmap):
+            return True
+        if isinstance(base, memoryview):
+            base = base.obj
+        else:
+            base = getattr(base, "base", None)
+    return False

@@ -5,9 +5,9 @@ npz with ``format_version``, ``vc_ids``, and per-VC arrays ``a_{i}``
 (accesses per interval), ``i_{i}`` (instructions per interval), and
 ``m_{i}_{t}`` (the interval-``t`` miss curve).  The store publishes it
 *uncompressed* (``np.savez``) so readers can map members zero-copy via
-:mod:`repro.store.mmapzip`; ``decode_payload`` falls back to ``np.load``
-for legacy ``savez_compressed`` files, so committed ``.profile_cache/``
-fixtures keep loading byte-for-byte.
+:mod:`repro.store.mmapzip`; ``load_profile`` falls back to ``np.load``
+for ``savez_compressed`` files, so the committed, read-only
+``.profile_cache/`` pile keeps loading byte-for-byte.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ def decode_payload(
     ``data`` is either an ``NpzFile`` or a mapped-member dict — anything
     supporting ``in`` and ``[]``.  A stale or partially written payload
     (missing arrays, wrong version) returns ``None`` so callers fall
-    back to re-profiling rather than crash.  Every returned curve's
-    ``misses`` is read-only, mapped or not.
+    back to re-profiling rather than crash.
     """
     from repro.curves.miss_curve import MissCurve
 
@@ -90,7 +89,6 @@ def decode_payload(
                     accesses=float(accesses[t]),
                     instructions=float(instructions[t]),
                 )
-                curve.misses.flags.writeable = False
                 curves.append(curve)
             out[int(vc)] = curves
     except (
@@ -106,38 +104,36 @@ def decode_payload(
 
 
 def load_profile(
-    path: str | Path, chunk_bytes: int, n_intervals: int, mmap: bool = True
+    path: str | Path, chunk_bytes: int, n_intervals: int
 ) -> dict[int, list[MissCurve]] | None:
     """Load a profile payload, zero-copy when the file permits it.
 
     Mapped payloads hand :class:`MissCurve` read-only views over one
     shared mapping (N workers share one page-cache copy); compressed or
-    foreign files fall back to ``np.load`` (read-only copies) and,
-    failing that, ``None``.
+    foreign files fall back to ``np.load`` and, failing that, ``None``.
     """
     from repro import obs
     from repro.devtools import faults
     from repro.retry import call_with_retries
+    from repro.store.mmapzip import npz_arrays
 
     path = Path(path)
     if not path.exists():
         return None
-    if mmap:
-        from repro.store.mmapzip import npz_arrays
 
-        def read_mapped() -> Any:
-            faults.maybe_inject("store-read", key=str(path))
-            return npz_arrays(path)
+    def read_mapped() -> Any:
+        faults.maybe_inject("store-read", key=str(path))
+        return npz_arrays(path)
 
-        try:
-            # A transient read failure costs a bounded re-read; only a
-            # persistent one falls through to the np.load path / None.
-            arrays = call_with_retries(read_mapped, key=str(path))
-        except (OSError, ValueError, zipfile.BadZipFile):
-            arrays = None
-        if arrays is not None:
-            obs.counter("store.load.mmap")
-            return decode_payload(arrays, chunk_bytes, n_intervals)
+    try:
+        # A transient read failure costs a bounded re-read; only a
+        # persistent one falls through to the np.load path / None.
+        arrays = call_with_retries(read_mapped, key=str(path))
+    except (OSError, ValueError, zipfile.BadZipFile):
+        arrays = None
+    if arrays is not None:
+        obs.counter("store.load.mmap")
+        return decode_payload(arrays, chunk_bytes, n_intervals)
 
     def read_npz() -> Any:
         faults.maybe_inject("store-read", key=str(path))

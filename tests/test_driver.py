@@ -12,7 +12,8 @@ from repro.schemes import (
     SingleVCClassifier,
 )
 from repro.sim import simulate, simulate_mix, weighted_speedup
-from repro.sim.profiling import cache_dir, profile_vcs
+from repro.sim.profiling import profile_vcs
+from repro.store import ArtifactStore
 from repro.workloads import build_workload
 
 
@@ -49,9 +50,7 @@ class TestClassifiers:
 
 
 class TestProfilingCache:
-    def test_cache_roundtrip(self, mis, cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
-        assert cache_dir() == tmp_path
+    def test_cache_roundtrip(self, mis, cfg, store_env):
         mapping, __ = SingleVCClassifier().classify(mis)
         kwargs = dict(
             chunk_bytes=cfg.chunk_bytes,
@@ -60,15 +59,14 @@ class TestProfilingCache:
             sample_shift=3,
         )
         first = profile_vcs(mis.trace, mapping, **kwargs)
-        assert len(list(tmp_path.glob("*.npz"))) == 1
+        assert len(list(ArtifactStore().artifacts("profiles"))) == 1
         second = profile_vcs(mis.trace, mapping, **kwargs)
         for vc in first:
             for a, b in zip(first[vc], second[vc]):
                 assert np.allclose(a.misses, b.misses)
                 assert a.accesses == b.accesses
 
-    def test_different_mapping_different_entry(self, mis, cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
+    def test_different_mapping_different_entry(self, mis, cfg, store_env):
         kwargs = dict(
             chunk_bytes=cfg.chunk_bytes,
             n_chunks=cfg.model_chunks,
@@ -79,7 +77,7 @@ class TestProfilingCache:
         m2, __ = ManualPoolClassifier().classify(mis)
         profile_vcs(mis.trace, m1, **kwargs)
         profile_vcs(mis.trace, m2, **kwargs)
-        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert len(list(ArtifactStore().artifacts("profiles"))) == 2
 
 
 class TestSimulate:
@@ -95,7 +93,7 @@ class TestSimulate:
         assert a.cycles == b.cycles
         assert a.energy.total == b.energy.total
 
-    def test_paper_shape_mis(self, mis, cfg):
+    def test_paper_shape_mis(self, mis, cfg, store_env):
         """Whirlpool > Jigsaw > S-NUCA on mis (Fig 10)."""
         lru = simulate(mis, cfg, lambda c, v: SNUCAScheme(c, v, "lru"))
         jig = simulate(mis, cfg, JigsawScheme)
@@ -104,7 +102,7 @@ class TestSimulate:
         assert whirl.energy.total < jig.energy.total
         assert whirl.bypasses > 0  # edges bypassed
 
-    def test_history_length_matches_intervals(self, mis, cfg):
+    def test_history_length_matches_intervals(self, mis, cfg, store_env):
         r = simulate(mis, cfg, JigsawScheme, n_intervals=10)
         assert len(r.history) == 10
 

@@ -251,10 +251,8 @@ class TestIngestedCampaign:
     def test_campaign_grid_over_ingested_trace(self, tmp_path, monkeypatch):
         # The PR-1 campaign engine resolves apps through build_workload,
         # so a trace dir in the environment makes external traces
-        # sweepable like any built-in benchmark.  The profile cache is
-        # redirected so ad-hoc test traces don't pollute the committed
-        # fixture set.
-        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "cache"))
+        # sweepable like any built-in benchmark.
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "artifacts"))
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "traces"))
         (tmp_path / "traces").mkdir()
         make_rtrace(tmp_path / "traces" / "extcamp.rtrace", n=1500)

@@ -242,65 +242,6 @@ def test_atomic_publish_ignores_out_of_scope_files(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# mmap-write-safety
-# ----------------------------------------------------------------------
-MMAP_BAD = {
-    "src/use.py": """\
-        import numpy as np
-        from repro.store.profiles import load_profile
-
-        def corrupt(path):
-            arr = load_profile(path, 4096, 1)
-            arr[0] = 1.0
-            arr.sort()
-            np.clip(arr, 0.0, None, out=arr)
-            return arr
-
-        def corrupt_payload(curve):
-            curve.misses[0] = 0.0
-        """
-}
-
-MMAP_OK = {
-    "src/use.py": """\
-        import numpy as np
-        from repro.store.profiles import load_profile
-
-        def safe(path):
-            arr = np.array(load_profile(path, 4096, 1))
-            arr[0] = 1.0
-            arr.sort()
-            return arr
-
-        def scalar_counter(stats):
-            stats.misses += 1
-
-        def monotone(curve):
-            m = np.asarray(curve.misses, dtype=np.float64)
-            m = np.minimum.accumulate(m)
-            np.clip(m, 0.0, None, out=m)
-            return m
-        """
-}
-
-
-def test_mmap_write_safety_flags_view_mutation(tmp_path):
-    root, m = make_tree(tmp_path, MMAP_BAD, "")
-    findings = run(root, m, ["mmap-write-safety"])
-    assert len(findings) == 4
-    messages = " | ".join(f.message for f in findings)
-    assert "subscript store" in messages
-    assert ".sort()" in messages
-    assert "out=arr" in messages
-    assert "curve.misses" in messages
-
-
-def test_mmap_write_safety_allows_copies_and_counters(tmp_path):
-    root, m = make_tree(tmp_path, MMAP_OK, "")
-    assert run(root, m, ["mmap-write-safety"]) == []
-
-
-# ----------------------------------------------------------------------
 # fingerprint-version
 # ----------------------------------------------------------------------
 FP_SOURCE = """\

@@ -319,20 +319,12 @@ class TestSinksAndReplay:
         assert summary["cache_hit_ratios"]["profile_memo"] == 0.75
         assert "profile_memo: 75.0%" in format_report(summary)
 
-    def test_event_log_names_the_tier_of_each_profile(
-        self, tmp_path, monkeypatch
-    ):
+    def test_event_log_names_the_tier_of_each_profile(self, store_env):
         import numpy as np
 
         from repro.sim import profiling
         from repro.workloads.trace import Trace
 
-        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
-        monkeypatch.setattr(
-            profiling, "_MEMO", profiling._CurveMemo(profiling._MEMO_BYTES)
-        )
         rng = np.random.default_rng(3)
         trace = Trace(
             lines=rng.integers(0, 64, size=300),

@@ -10,6 +10,7 @@ too: shared curves are read-only, and a replaced payload is re-read.
 import hashlib
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,18 +18,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.curves import miss_curve
-from repro.curves.miss_curve import prime_hull_caches
+from repro.curves.miss_curve import MissCurve, prime_hull_caches
 from repro.sim import profiling
 from repro.sim.profiling import profile_vcs
 from repro.store import ArtifactStore, load_profile, publish_profile
+from repro.store.mmapzip import is_mapped
 from repro.store.profiles import encode_payload
 from repro.workloads.trace import Trace
-
-
-@pytest.fixture()
-def cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
-    return tmp_path
 
 
 def make_trace(lines, regions, instructions):
@@ -77,7 +73,7 @@ class TestCacheRoundTrip:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(inputs=trace_inputs())
-    def test_store_load_equals_cold_run(self, inputs):
+    def test_store_load_equals_cold_run(self, store_env, inputs):
         lines, regions, instructions, mapping, n_intervals = inputs
         trace = make_trace(lines, regions, instructions)
         kwargs = dict(
@@ -86,25 +82,19 @@ class TestCacheRoundTrip:
             n_chunks=6,
             n_intervals=n_intervals,
         )
-        # Each example gets its own cache dir; hypothesis shrinks across
+        # Each example gets its own store; hypothesis shrinks across
         # examples, so a shared fixture directory would alias entries.
-        with tempfile.TemporaryDirectory() as cache:
-            old = os.environ.get("REPRO_PROFILE_CACHE")
-            os.environ["REPRO_PROFILE_CACHE"] = cache
-            try:
-                cold = profile_vcs(trace, use_cache=False, **kwargs)
-                stored = profile_vcs(trace, use_cache=True, **kwargs)
-                loaded = profile_vcs(trace, use_cache=True, **kwargs)
-            finally:
-                if old is None:
-                    del os.environ["REPRO_PROFILE_CACHE"]
-                else:
-                    os.environ["REPRO_PROFILE_CACHE"] = old
+        with tempfile.TemporaryDirectory() as root, mock.patch.dict(
+            os.environ, {"REPRO_STORE_DIR": root}
+        ):
+            cold = profile_vcs(trace, use_cache=False, **kwargs)
+            stored = profile_vcs(trace, use_cache=True, **kwargs)
+            loaded = profile_vcs(trace, use_cache=True, **kwargs)
         assert_curves_equal(stored, cold)
         assert_curves_equal(loaded, cold)
 
 
-def seed_cache(cache_env, n_intervals=2):
+def seed_cache(n_intervals=2):
     """Profile once with caching on; returns (trace, kwargs, cold, path)."""
     rng = np.random.default_rng(7)
     trace = make_trace(
@@ -118,9 +108,8 @@ def seed_cache(cache_env, n_intervals=2):
     )
     cold = profile_vcs(trace, use_cache=False, **kwargs)
     profile_vcs(trace, use_cache=True, **kwargs)
-    files = list(cache_env.glob("*.npz"))
-    assert len(files) == 1
-    return trace, kwargs, cold, files[0]
+    ((__, __, path),) = ArtifactStore().artifacts("profiles")
+    return trace, kwargs, cold, path
 
 
 class TestStaleCache:
@@ -129,23 +118,23 @@ class TestStaleCache:
         mutate(data)
         np.savez_compressed(path, **data)
 
-    def test_missing_interval_arrays_fall_back(self, cache_env):
-        trace, kwargs, cold, path = seed_cache(cache_env)
+    def test_missing_interval_arrays_fall_back(self, store_env):
+        trace, kwargs, cold, path = seed_cache()
         # A stale/partial file missing an m_{i}_{t} array must re-profile,
         # not raise KeyError.
         self.rewrite(path, lambda d: d.pop("m_0_1"))
         assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
 
-    def test_wrong_format_version_falls_back(self, cache_env):
-        trace, kwargs, cold, path = seed_cache(cache_env)
+    def test_wrong_format_version_falls_back(self, store_env):
+        trace, kwargs, cold, path = seed_cache()
         self.rewrite(
             path,
             lambda d: d.update(format_version=np.array(999, dtype=np.int64)),
         )
         assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
 
-    def test_legacy_file_without_version_key_is_regenerated(self, cache_env):
-        trace, kwargs, cold, path = seed_cache(cache_env)
+    def test_legacy_file_without_version_key_is_regenerated(self, store_env):
+        trace, kwargs, cold, path = seed_cache()
         # Files without a version key load as version 1, whose fingerprints
         # were computed from a stride-257 sample and can collide.  They
         # must be re-profiled and rewritten, never served.
@@ -154,19 +143,19 @@ class TestStaleCache:
         data = np.load(path)
         assert int(data["format_version"]) == profiling._FORMAT_VERSION
 
-    def test_garbage_file_falls_back(self, cache_env):
-        trace, kwargs, cold, path = seed_cache(cache_env)
+    def test_garbage_file_falls_back(self, store_env):
+        trace, kwargs, cold, path = seed_cache()
         path.write_bytes(b"not an npz file")
         assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
 
-    def test_store_writes_current_version(self, cache_env):
-        __, __, __, path = seed_cache(cache_env)
+    def test_store_writes_current_version(self, store_env):
+        __, __, __, path = seed_cache()
         data = np.load(path)
         assert int(data["format_version"]) == profiling._FORMAT_VERSION
 
 
 class TestFingerprint:
-    def test_short_traces_with_equal_shape_do_not_collide(self, cache_env):
+    def test_short_traces_with_equal_shape_do_not_collide(self, store_env):
         # Regression: the v1 fingerprint hashed lines[::257]/regions[::257],
         # so any two traces shorter than 257 accesses that agreed on their
         # first access, length, and instruction count shared a cache key —
@@ -178,7 +167,7 @@ class TestFingerprint:
         profile_vcs(a, use_cache=True, **kwargs)  # populate cache with a
         served = profile_vcs(b, use_cache=True, **kwargs)
         assert_curves_equal(served, cold_b)
-        assert len(list(cache_env.glob("*.npz"))) == 2
+        assert len(list(ArtifactStore().artifacts("profiles"))) == 2
 
     def test_digest_bytes_are_pinned(self):
         # Every committed fixture and store entry is named by these
@@ -210,7 +199,7 @@ class TestFingerprint:
                 profiling._fingerprint(trace, mapping, 1024, 4, n_intervals, 0)
         assert len(made) == 1
 
-    def test_region_relabel_changes_fingerprint(self, cache_env):
+    def test_region_relabel_changes_fingerprint(self, store_env):
         lines = [0, 1, 2, 3]
         a = make_trace(lines, [0, 0, 1, 1], 100.0)
         b = make_trace(lines, [0, 1, 1, 1], 100.0)
@@ -221,15 +210,7 @@ class TestFingerprint:
 
 
 class TestStoreBackedCache:
-    """Without $REPRO_PROFILE_CACHE, profiles live in the artifact store."""
-
-    @pytest.fixture()
-    def store_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-        # Isolate from the repo's committed fixture pile.
-        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
-        return tmp_path / "store"
+    """Profiles live in the artifact store; the fixture pile is read-only."""
 
     def seed(self, n_intervals=2):
         rng = np.random.default_rng(11)
@@ -247,8 +228,6 @@ class TestStoreBackedCache:
         return trace, kwargs
 
     def test_round_trip_with_provenance(self, store_env):
-        from repro.store import ArtifactStore
-
         trace, kwargs = self.seed()
         cold = profile_vcs(trace, use_cache=False, **kwargs)
         profile_vcs(trace, use_cache=True, **kwargs)
@@ -271,28 +250,25 @@ class TestStoreBackedCache:
                 # is what lets N campaign workers share one page-cache
                 # copy of every profile.
                 assert not curve.misses.flags.writeable
-                assert curve.misses.base is not None
+                assert is_mapped(curve.misses)
 
     def test_legacy_fixture_fallback_reads_but_never_writes(
         self, store_env, tmp_path, monkeypatch
     ):
-        # Seed a legacy flat-directory pile (the committed fixture
-        # layout), then point the fixture fallback at it.
+        # Seed a pile in the committed fixture layout (flat, compressed,
+        # named by fingerprint), then point the fixture fallback at it.
         legacy = tmp_path / "fixtures"
-        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(legacy))
+        legacy.mkdir()
         trace, kwargs = self.seed()
         cold = profile_vcs(trace, use_cache=False, **kwargs)
-        profile_vcs(trace, use_cache=True, **kwargs)
-        assert len(list(legacy.glob("*.npz"))) == 1
-        monkeypatch.delenv("REPRO_PROFILE_CACHE")
+        key = profiling._fingerprint(trace, sample_shift=0, **kwargs)
+        np.savez_compressed(legacy / f"{key}.npz", **encode_payload(cold))
         monkeypatch.setattr(profiling, "_fixture_dir", lambda: legacy)
 
         served = profile_vcs(trace, use_cache=True, **kwargs)
         assert_curves_equal(served, cold)
         # Fixture hits are not re-published: the store would otherwise
         # duplicate the entire committed pile on first use.
-        from repro.store import ArtifactStore
-
         assert list(ArtifactStore().artifacts("profiles")) == []
 
     def test_clear_cache_clears_store_profiles(self, store_env):
@@ -301,8 +277,6 @@ class TestStoreBackedCache:
         from repro.sim.profiling import clear_cache
 
         assert clear_cache() == 1
-        from repro.store import ArtifactStore
-
         assert list(ArtifactStore().artifacts("profiles")) == []
         # Stale sidecars would otherwise be reported by gc forever.
         assert ArtifactStore().gc(dry_run=True)["removed"] == []
@@ -329,10 +303,10 @@ class TestReadOnlyCurves:
 
     def assert_read_only(self, curves):
         for curve in all_curves(curves):
-            # The write the lint rule forbids, made on purpose: numpy
-            # must reject it at runtime on every load path.
+            # In-place writes, made on purpose: numpy must reject them
+            # at runtime, whichever path made the curve.
             with pytest.raises(ValueError):
-                curve.misses[0] = -1.0  # repro: noqa[mmap-write-safety]
+                curve.misses[0] = -1.0
             with pytest.raises(ValueError):
                 curve.convex_hull()[0] = -1.0
 
@@ -343,32 +317,43 @@ class TestReadOnlyCurves:
         # The committed pile is compressed, so loads take np.load.
         path = tmp_path / "fixture.npz"
         np.savez_compressed(path, **encode_payload(self.cold()))
-        self.assert_read_only(load_profile(path, 1024, 2))
+        loaded = load_profile(path, 1024, 2)
+        assert not any(is_mapped(c.misses) for c in all_curves(loaded))
+        self.assert_read_only(loaded)
 
     def test_store_mmap_load(self, tmp_path):
         path = publish_profile(ArtifactStore(tmp_path), "ab" * 16, self.cold())
         loaded = load_profile(path, 1024, 2)
-        assert all(c.misses.base is not None for c in all_curves(loaded))
+        assert all(is_mapped(c.misses) for c in all_curves(loaded))
         self.assert_read_only(loaded)
 
-    def test_computed_curves_are_served_read_only(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
+    def test_computed_curves_are_served_read_only(self, store_env):
         self.assert_read_only(profile_vcs(random_trace(13), **MEMO_KWARGS))
+
+    def test_uncached_curves(self):
+        self.assert_read_only(self.cold())
+
+    @pytest.mark.parametrize(
+        "values",
+        [[5.0, 3.0, 3.0, 0.0], [5.0, 6.0, 2.0, -1.0]],
+        ids=["normalized", "accumulated"],
+    )
+    def test_constructed_curves(self, values):
+        given = np.array(values)
+        curve = MissCurve(
+            misses=given, chunk_bytes=1024, accesses=10.0, instructions=100.0
+        )
+        self.assert_read_only({0: [curve]})
+        # The curve's array is read-only; the caller's buffer is not.
+        assert given.flags.writeable
 
 
 class TestCurveMemo:
     """Repeat requests for one payload are served from the process memo."""
 
     @pytest.fixture()
-    def memo(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
-        memo = profiling._CurveMemo(profiling._MEMO_BYTES)
-        monkeypatch.setattr(profiling, "_MEMO", memo)
-        return memo
+    def memo(self, store_env):
+        return profiling._MEMO
 
     def seed(self, memo, seed=5):
         """Publish one profile, then forget it; returns (trace, cold)."""
@@ -473,4 +458,4 @@ class TestCurveMemo:
         assert_curves_equal(out, cold)
         for mine, theirs in zip(all_curves(out), all_curves(shared)):
             assert mine is not theirs
-            assert mine.misses.flags.writeable
+            assert not np.shares_memory(mine.misses, theirs.misses)

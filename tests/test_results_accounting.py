@@ -1,5 +1,7 @@
 """Tests for result accounting, caches, and bookkeeping edge cases."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.nuca.energy import EnergyBreakdown
 from repro.schemes import JigsawScheme, SNUCAScheme, VCSpec
 from repro.schemes.base import IntervalStats, SchemeResult, VCAllocation
 from repro.sim.profiling import clear_cache, profile_vcs
+from repro.store import ArtifactStore
 from repro.workloads import build_workload
 
 CHUNK = 64 * 1024
@@ -104,29 +107,32 @@ class TestAccountingEdges:
 
 
 class TestProfilingCacheManagement:
-    def test_clear_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
+    def test_clear_cache(self, store_env):
         w = build_workload("hull", scale="train", seed=0)
         mapping = {rid: 0 for rid in w.region_names}
         profile_vcs(
             w.trace, mapping, chunk_bytes=CHUNK, n_chunks=32,
             n_intervals=2, sample_shift=3,
         )
-        assert len(list(tmp_path.glob("*.npz"))) == 1
+        assert len(list(ArtifactStore().artifacts("profiles"))) == 1
         assert clear_cache() == 1
-        assert len(list(tmp_path.glob("*.npz"))) == 0
+        assert len(list(ArtifactStore().artifacts("profiles"))) == 0
         assert clear_cache() == 0  # idempotent
 
-    def test_corrupt_cache_entry_recomputed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
+    def test_corrupt_cache_entry_recomputed(self, store_env):
         w = build_workload("hull", scale="train", seed=0)
         mapping = {rid: 0 for rid in w.region_names}
         kwargs = dict(
             chunk_bytes=CHUNK, n_chunks=32, n_intervals=2, sample_shift=3
         )
         first = profile_vcs(w.trace, mapping, **kwargs)
-        (entry,) = tmp_path.glob("*.npz")
-        entry.write_bytes(b"garbage")
+        ((__, __, entry),) = ArtifactStore().artifacts("profiles")
+        # Corrupt the entry by rename, as store writes land: `first`
+        # maps the payload, so writing the file in place would change
+        # it too.
+        garbage = entry.with_name("garbage")
+        garbage.write_bytes(b"garbage")
+        os.replace(garbage, entry)
         second = profile_vcs(w.trace, mapping, **kwargs)
         for vc in first:
             for a, b in zip(first[vc], second[vc]):
@@ -134,7 +140,7 @@ class TestProfilingCacheManagement:
 
 
 class TestMixEnergyAttribution:
-    def test_per_app_energy_sums_to_joint_total(self):
+    def test_per_app_energy_sums_to_joint_total(self, store_env):
         from repro.sim import simulate_mix
 
         cfg = four_core_config()

@@ -1,8 +1,7 @@
 """The content-addressed artifact store: publish, map, maintain.
 
 Everything runs against a temp root via ``$REPRO_STORE_DIR``; the
-legacy fixture pile and env-pinned caches are exercised separately in
-``test_profiling_cache.py``.
+fixture pile is exercised separately in ``test_profiling_cache.py``.
 """
 
 import json
@@ -19,7 +18,7 @@ from repro.store import (
     publish_trace,
 )
 from repro.store.artifacts import ENV_STORE
-from repro.store.mmapzip import MappedArchive
+from repro.store.mmapzip import MappedArchive, is_mapped
 from repro.store.profiles import (
     FORMAT_VERSION,
     load_profile,
@@ -251,7 +250,7 @@ class TestProfilePayload:
                 assert got.instructions == want.instructions
                 # Zero-copy: a read-only view over the file mapping.
                 assert not got.misses.flags.writeable
-                assert got.misses.base is not None
+                assert is_mapped(got.misses)
 
     def test_load_falls_back_on_compressed(self, tmp_path):
         from repro.store.profiles import encode_payload
@@ -361,20 +360,21 @@ class TestStoreCLI:
         from repro.cli import main
         from repro.workloads.registry import TRACE_DIR_ENV
 
-        # A legacy trace dir with one archive, a legacy profile cache
-        # with one entry: compact pulls both into the store.
+        # A legacy trace dir with one archive, a fixture pile with one
+        # entry: compact pulls both into the store.
         traces = tmp_path / "traces"
         traces.mkdir()
         make_rtrace(traces / "legacyapp.rtrace", apki=8.0)
         monkeypatch.setenv(TRACE_DIR_ENV, str(traces))
         legacy_cache = tmp_path / "cache"
         legacy_cache.mkdir()
+        from repro.sim import profiling
         from repro.store.profiles import encode_payload
 
         np.savez_compressed(
             legacy_cache / ("cd" * 16 + ".npz"), **encode_payload(make_curves())
         )
-        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(legacy_cache))
+        monkeypatch.setattr(profiling, "_fixture_dir", lambda: legacy_cache)
 
         assert main(["store", "compact", "--dry-run"]) == 0
         assert store.status()["kinds"]["profiles"]["artifacts"] == 0
