@@ -5,7 +5,9 @@ batched ``WhirlToolAnalyzer.cluster`` (condensed distance matrix, one
 batched combine/partition evaluation per distance row) must beat — and
 stay >= 5x faster than — the retained ``cluster_reference`` on a
 48-callpoint x 16-interval profile, while producing a bit-identical
-merge tree.  Timings are written as JSON
+merge tree.  A third case runs real-shaped curves on the 401-point
+online grid, where Listing 1's step loop sets the cost.  Timings are
+written as JSON
 (``benchmarks/perf_clustering_timings.json``, gitignored) so CI can
 upload them as an artifact; wall-clock numbers stay out of
 ``benchmarks/results/``.
@@ -67,6 +69,38 @@ def _instance(
                         ),
                     ]
                 )
+            series.append(
+                MissCurve(
+                    misses=vals,
+                    chunk_bytes=CHUNK_BYTES,
+                    accesses=float(vals[0]),
+                    instructions=float(rng.uniform(5e5, 2e6)),
+                )
+            )
+        curves[cp] = series
+    return CallpointProfile(
+        curves=curves,
+        names={cp: f"r{cp}" for cp in curves},
+        n_intervals=n_intervals,
+    )
+
+
+def _real_instance(n_callpoints=12, n_intervals=4, n_chunks=400, seed=11):
+    """A profile on the online grid (401 points) with real-shaped curves.
+
+    Each curve falls to its floor at 2-20% of the grid and stays flat,
+    like a measured miss curve; the floor is above zero, so Listing 1's
+    flows never stop and every combine runs all 401 steps.
+    """
+    rng = np.random.default_rng(seed)
+    curves = {}
+    for cp in range(n_callpoints):
+        series = []
+        for __ in range(n_intervals):
+            m = int(rng.integers(n_chunks // 50, n_chunks // 5))
+            floor = float(rng.uniform(5, 50))
+            head = floor + np.sort(rng.exponential(200.0, m))[::-1]
+            vals = np.concatenate([head, np.full(n_chunks + 1 - m, floor)])
             series.append(
                 MissCurve(
                     misses=vals,
@@ -149,3 +183,25 @@ class TestPerfClustering:
             f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
         )
         assert speedup >= 5.0, f"speedup regressed to {speedup:.1f}x"
+
+    def test_perf_real_shape_12x4_wide(self):
+        """Real-shaped curves on the 401-point online grid.
+
+        Here Listing 1's step loop, not the pair count, sets the cost:
+        every combine runs its 401 steps.  Gated like the 12x4 smoke.
+        """
+        profile = _real_instance()
+        analyzer = WhirlToolAnalyzer()
+        t_batched, got = _best_of(lambda: analyzer.cluster(profile), repeats=3)
+        t_ref, want = _best_of(lambda: analyzer.cluster_reference(profile))
+        assert got.merges == want.merges  # bit-identical tree
+        _record_timings("real_shape_12x4_401", t_batched, t_ref)
+        print(
+            f"\n[perf] clustering 12x4 real-shaped, 401 wide: batched "
+            f"{t_batched*1e3:.1f} ms, reference {t_ref*1e3:.1f} ms, "
+            f"speedup {t_ref / t_batched:.1f}x"
+        )
+        assert t_batched < t_ref, (
+            f"batched clustering slower than reference: {t_batched:.4f}s "
+            f">= {t_ref:.4f}s"
+        )

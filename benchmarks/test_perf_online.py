@@ -8,7 +8,11 @@ incremental path), and gates the mean per-epoch cost at >=
 ``SPEEDUP_FLOOR``x cheaper than a from-scratch re-profile + re-cluster
 of the prefix with the same streaming engine.  It also pins the final
 streamed pools bit-identical to the offline oracle, so the speed never
-comes from drift.
+comes from drift.  A second, count-based gate checks what the last
+epoch's re-cluster replays: it may evaluate at most
+``REPLAY_SHARE_CEILING`` of the lanes (rows passed to
+``combine_rate_rows``) that a cold-cache re-cluster of the same profile
+evaluates.
 
 Timings land in ``benchmarks/perf_online_timings.json`` (gitignored)
 for the CI artifact upload, same contract as the other perf smokes.
@@ -19,8 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.whirltool import analyzer as analyzer_module
 from repro.core.whirltool import (
     CallpointProfile,
+    IncrementalClusterCache,
     OnlineWhirlTool,
     PhaseDetector,
     WhirlToolAnalyzer,
@@ -46,17 +52,24 @@ N_REGIONS = 4
 #: ~7x end to end, and 5x leaves slack for slow shared runners.
 SPEEDUP_FLOOR = 5.0
 
+#: CI gate: the re-cluster at the last epoch's seal evaluates at most
+#: this share of a cold-cache re-cluster's lanes.  Every pool and pair
+#: of an unchanged merge tree computes only the new epoch, about
+#: 1/EPOCHS of the cold lanes; replaying only leaf pairs and rebuilding
+#: every merged pool would evaluate about half of them.
+REPLAY_SHARE_CEILING = 0.25
+
 TIMINGS_PATH = Path(__file__).parent / "perf_online_timings.json"
 
 GRID = dict(chunk_bytes=64 * 1024, n_chunks=32, sample_shift=3)
 
 
-def _record_timings(name, **fields):
+def _record_timings(name, gate=f"speedup >= {SPEEDUP_FLOOR}x", **fields):
     record_timings(
         TIMINGS_PATH,
         name,
         {k: (v, infer_unit(k)) for k, v in fields.items()},
-        gate=f"speedup >= {SPEEDUP_FLOOR}x",
+        gate=gate,
     )
 
 
@@ -65,6 +78,26 @@ class _AlwaysPhase(PhaseDetector):
 
     def update(self, curves):
         return True
+
+
+class _LaneLog(WhirlToolAnalyzer):
+    """Logs (intervals, lanes, seconds) of every re-cluster.
+
+    Lanes are the rows passed to the analyzer's ``combine_rate_rows``,
+    counted by the wrapper the test installs into ``lanes``.
+    """
+
+    def __init__(self, lanes):
+        self.lanes = lanes
+        self.log = []
+
+    def cluster_incremental(self, profile, cache):
+        before, t0 = self.lanes[0], time.perf_counter()
+        result = super().cluster_incremental(profile, cache)
+        self.log.append(
+            (profile.n_intervals, self.lanes[0] - before, time.perf_counter() - t0)
+        )
+        return result
 
 
 def _make_trace(seed=31):
@@ -164,4 +197,59 @@ class TestPerfOnline:
         assert speedup >= SPEEDUP_FLOOR, (
             f"incremental epoch update is only {speedup:.1f}x cheaper than "
             f"from-scratch (floor {SPEEDUP_FLOOR}x)"
+        )
+
+    def test_perf_smoke_last_recluster_replays(self, monkeypatch):
+        """CI gate: the last epoch's re-cluster replays all but its new lanes."""
+        lines, regions = _make_trace()
+        lanes = [0]
+        combine = analyzer_module.combine_rate_rows
+
+        def counting_combine(r1, r2):
+            lanes[0] += len(r1)
+            return combine(r1, r2)
+
+        monkeypatch.setattr(analyzer_module, "combine_rate_rows", counting_combine)
+        analyzer = _LaneLog(lanes)
+        tool = OnlineWhirlTool(
+            epoch_records=EPOCH_RECORDS,
+            instructions_per_record=4.0,
+            detector=_AlwaysPhase(),
+            analyzer=analyzer,
+            **GRID,
+        )
+        tool.start(IterableSource(iter(())))
+        for start in range(0, len(lines), EPOCH_RECORDS):
+            stop = start + EPOCH_RECORDS
+            tool.push(TraceChunk(addrs=lines[start:stop] * 64, regions=regions[start:stop]))
+        pushed = list(analyzer.log)
+        assert [n for n, __, __ in pushed] == list(range(1, EPOCHS + 1))
+        __, last_lanes, last_s = pushed[-1]
+        analyzer.log.clear()
+        cold = analyzer.cluster_incremental(tool.profile(), IncrementalClusterCache())
+        assert cold.merges == tool.pools.merges
+        ((__, cold_lanes, cold_s),) = analyzer.log
+        share = last_lanes / cold_lanes
+        per_epoch = {}
+        for n, n_lanes, seconds in pushed:
+            per_epoch[f"epoch{n:02d}_lanes"] = n_lanes
+            per_epoch[f"epoch{n:02d}_s"] = seconds
+        _record_timings(
+            "online_last_recluster_replay",
+            gate=f"lane share <= {REPLAY_SHARE_CEILING}",
+            **per_epoch,
+            last_recluster_lanes=last_lanes,
+            last_recluster_s=last_s,
+            cold_recluster_lanes=cold_lanes,
+            cold_recluster_s=cold_s,
+            lane_ratio=share,
+        )
+        print(
+            f"\n[perf] online re-cluster at epoch {EPOCHS}: {last_lanes} lanes "
+            f"({last_s*1e3:.1f} ms) vs {cold_lanes} lanes ({cold_s*1e3:.1f} ms) "
+            f"from a cold cache — share {share:.3f}"
+        )
+        assert share <= REPLAY_SHARE_CEILING, (
+            f"the last re-cluster evaluated {last_lanes} of a cold re-cluster's "
+            f"{cold_lanes} lanes ({share:.2f} > {REPLAY_SHARE_CEILING})"
         )

@@ -14,26 +14,35 @@ repeatedly merge the closest pair (re-estimating the merged pool's
 curves with the combine model), record the merge tree, and cut it at the
 desired pool count.
 
-Two interchangeable engines build the merge tree:
+One batched engine builds the merge tree, behind two public methods:
 
-- :meth:`WhirlToolAnalyzer.cluster` — the batched engine.  Distances
-  live in a condensed numpy matrix keyed by cluster index; the initial
-  table is one batched evaluation over all pairs × active intervals
-  (through :func:`repro.curves.combine.combine_rate_rows` and
-  :func:`repro.curves.partition.partitioned_rate_rows`, with each
-  cluster's rate rows and hulls computed once and reused across every
-  pair), and each merge computes the merged cluster's row against all
-  survivors in a single batch.
-- :meth:`WhirlToolAnalyzer.cluster_reference` — the original serial
-  loop over :func:`pool_distance`, retained as the oracle.  The batched
-  engine is bit-identical to it — merge order, distances, and tie-breaks
-  (distance, then sorted min-callpoint) — which the property tests pin
-  and which keeps the Fig 17 dendrograms byte-stable.
+- :meth:`WhirlToolAnalyzer.cluster_incremental` runs it on an
+  :class:`IncrementalClusterCache` that persists across calls.  Every
+  pool of the tree keeps its per-interval rate and hull rows, and every
+  evaluated pair its per-interval distance terms, keyed by merge
+  structure; a re-cluster after new intervals (sealed epochs) computes
+  only the intervals each key has not seen and replays the rest.
+- :meth:`WhirlToolAnalyzer.cluster` runs it on a throwaway cache.
+
+Distances live in a condensed numpy matrix keyed by cluster index; the
+initial table is one batched evaluation over all leaf pairs × active
+intervals (through :func:`repro.curves.combine.combine_rate_rows` and
+:func:`repro.curves.partition.partitioned_rate_rows`, with each
+cluster's rate rows and hulls computed once and reused across every
+pair), and each merge computes the merged cluster's row against all
+survivors in a single batch.
+
+:meth:`WhirlToolAnalyzer.cluster_reference` is the original serial loop
+over :func:`pool_distance`, retained as the oracle.  The engine is
+bit-identical to it from any cache state — merge order, distances, and
+tie-breaks (distance, then sorted min-callpoint) — which the property
+tests pin and which keeps the Fig 17 dendrograms byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable
 
 import numpy as np
 
@@ -80,10 +89,9 @@ def _lane_area_terms(
 
     The float core every distance evaluation shares: combine model and
     optimal split scaled to misses, the MissCurve monotone/clip
-    normalization, and the per-instruction area.  Both
-    :meth:`WhirlToolAnalyzer.cluster`'s full-pair batches and
-    :meth:`WhirlToolAnalyzer.cluster_incremental`'s single-interval
-    columns run lanes through these exact expressions, and the kernels
+    normalization, and the per-instruction area.  A cold build's
+    all-interval batches and a warm re-cluster's new-interval batches
+    run lanes through these exact expressions, and the kernels
     underneath are lane-independent, so a term's value does not depend
     on which batch evaluated it — the property that makes cached terms
     reusable bit-identically.
@@ -100,28 +108,74 @@ def _lane_area_terms(
 
 @dataclass
 class IncrementalClusterCache:
-    """Leaf-pair distance terms carried across online re-clusters.
+    """Merge-tree pools and pair terms carried across re-clusters.
 
-    ``terms[(cpa, cpb)]`` (callpoint ids, ``cpa < cpb``) holds that leaf
-    pair's per-interval distance terms for the intervals evaluated so
-    far.  Because the pool distance is a per-interval sum and sealed
-    intervals' curves never change (the online epoch contract), a
-    re-cluster after new intervals arrive only needs the *new* term
-    columns; everything else is replayed from the cache.
+    Every pool of a merge tree is keyed by its merge structure: a leaf
+    by its callpoint id, a merged pool by the tuple of its two
+    children's keys in the order the combine model read them.  Listing 1
+    is only approximately associative, so ``(a+b)+c`` and ``a+(b+c)``
+    are different keys with different rows.
+
+    - ``pools[key]`` is ``(rates, hulls)``: the pool's per-interval rate
+      rows and their lower convex hulls, each ``(intervals seen,
+      n_chunks + 1)``.
+    - ``terms[(key_a, key_b)]`` holds that pair's per-interval distance
+      terms, keyed in evaluation order (the optimal split concatenates
+      gains in operand order, so a flipped pair is another entry).
+
+    Because the pool distance is a per-interval sum and sealed intervals'
+    curves never change (the online epoch contract), a re-cluster after
+    new intervals arrive computes only the intervals each key has not
+    seen; everything else replays.  After each re-cluster the cache
+    keeps only the new tree's ``2L - 1`` pools and the ``(L - 1)**2``
+    pairs it evaluated, so between re-clusters it holds one tree's rows.
 
     The caller owns the contract that cached intervals are final: feed
     the cache profiles whose previously-seen intervals changed and the
     replayed distances are stale.  Grid changes and shrinking interval
-    counts are detected and drop the cache wholesale.
+    counts are detected and drop the cache wholesale; a callpoint first
+    seen late (its earlier intervals backfilled) only adds new keys.
     """
 
     grid: tuple[int, int] | None = None
-    terms: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    pools: dict[Hashable, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
+    terms: dict[tuple, np.ndarray] = field(default_factory=dict)
 
     def invalidate(self) -> None:
         """Drop everything (grid change, non-incremental profile)."""
         self.grid = None
+        self.pools.clear()
         self.terms.clear()
+
+    def seen(self, key: Hashable) -> int:
+        """How many leading intervals ``key``'s pool rows cover."""
+        rows = self.pools.get(key)
+        return 0 if rows is None else len(rows[0])
+
+    def extend(self, key: Hashable, fresh: np.ndarray) -> None:
+        """Append rate rows past :meth:`seen` to ``key``'s pool, with hulls."""
+        seen = self.seen(key)
+        rates = np.empty((seen + len(fresh), fresh.shape[1]))
+        hulls = np.empty_like(rates)
+        if seen:
+            rates[:seen], hulls[:seen] = self.pools[key]
+        rates[seen:] = fresh
+        for t in range(seen, len(rates)):
+            hulls[t] = _lower_convex_hull_fast(rates[t])
+        self.pools[key] = (rates, hulls)
+
+
+def _gather(
+    rows: list[np.ndarray], pools: np.ndarray, intervals: np.ndarray
+) -> np.ndarray:
+    """``rows[pools[i]][intervals[i]]`` for every lane ``i``, stacked."""
+    out = np.empty((len(pools), rows[0].shape[1]))
+    for c in np.unique(pools).tolist():
+        at = np.flatnonzero(pools == c)
+        out[at] = rows[c][intervals[at]]
+    return out
 
 
 def _pool_label(names: dict[int, str], cluster) -> str:
@@ -204,20 +258,55 @@ class WhirlToolAnalyzer:
     def cluster(self, profile: CallpointProfile) -> ClusteringResult:
         """Build the full merge tree for one application's profile.
 
-        Batched engine: one vectorized evaluation fills the initial
-        pair-distance matrix, and each merge re-evaluates a single
-        batched row.  Bit-identical to :meth:`cluster_reference` (which
-        also serves as the fallback for ragged or degenerate profiles).
+        The merge-tree engine on a throwaway
+        :class:`IncrementalClusterCache`: one vectorized evaluation fills
+        the initial pair-distance matrix, and each merge re-evaluates a
+        single batched row.  Bit-identical to :meth:`cluster_reference`,
+        which also serves degenerate profiles (<= 1 leaf, no intervals,
+        ragged series, mixed grids).
+        """
+        return self._merge_tree(profile, IncrementalClusterCache())
+
+    def cluster_incremental(
+        self, profile: CallpointProfile, cache: IncrementalClusterCache
+    ) -> ClusteringResult:
+        """Re-cluster a growing profile, replaying what ``cache`` holds.
+
+        The online engine: when a profile gains intervals (sealed epochs)
+        between re-clusters, every pool and pair the new merge tree shares
+        with the cached one computes only its new intervals; the rest
+        replays from ``cache``, which is then pruned to the new tree.
+
+        Bit-identical to :meth:`cluster_reference` on the same profile —
+        merge order, distances, tie-breaks — from any cache state, because
+        per-lane terms are batch-composition-independent
+        (:func:`_lane_area_terms`), rate and hull rows are per-interval,
+        and the per-pair total accumulates in the same interval order.
+        Degenerate profiles drop the cache and go to
+        :meth:`cluster_reference`.
+        """
+        return self._merge_tree(profile, cache)
+
+    def _merge_tree(
+        self, profile: CallpointProfile, cache: IncrementalClusterCache
+    ) -> ClusteringResult:
+        """The batched merge-tree builder behind both public methods.
+
+        Distances live in a condensed numpy matrix keyed by cluster index.
+        Each cluster's rate and hull rows are ``cache``'s own arrays, found
+        by the cluster's merge-structure key and extended to the intervals
+        the key has not seen; each distance evaluation replays the cached
+        terms of its pairs and runs all their unseen active (pair,
+        interval) lanes through the kernels in one batch.
         """
         order = sorted(profile.curves)
         n_leaves = len(order)
         series = [profile.curves[cp] for cp in order]
-        if n_leaves <= 1:
-            return self.cluster_reference(profile)
-        n_intervals = len(series[0])
         flat = [c for s in series for c in s]
+        n_intervals = len(series[0]) if series else 0
         if (
-            n_intervals == 0
+            n_leaves <= 1
+            or n_intervals == 0
             or any(len(s) != n_intervals for s in series)
             or any(
                 c.chunk_bytes != flat[0].chunk_bytes
@@ -225,66 +314,83 @@ class WhirlToolAnalyzer:
                 for c in flat
             )
         ):
+            cache.invalidate()
             return self.cluster_reference(profile)
 
-        width = flat[0].n_chunks + 1
-        total_clusters = 2 * n_leaves - 1
+        grid = (flat[0].chunk_bytes, flat[0].n_chunks)
+        if cache.grid != grid or any(
+            len(rates) > n_intervals for rates, __ in cache.pools.values()
+        ):
+            cache.invalidate()
+            cache.grid = grid
+
         # Per-cluster state, indexed by cluster id; merged clusters are
         # appended after the n_leaves leaves.  Miss rows are transient:
         # only the derived rates (and their hulls) feed the distance
         # kernels, so raw miss counts never persist per cluster.
+        total_clusters = 2 * n_leaves - 1
         instr = np.empty((total_clusters, n_intervals))
         accesses = np.empty((total_clusters, n_intervals))
-        rates = np.empty((total_clusters, n_intervals, width))
-        hulls = np.empty((total_clusters, n_intervals, width))
         members: list[frozenset] = [frozenset({cp}) for cp in order]
         mins = np.empty(total_clusters, dtype=np.int64)
         births = np.zeros(total_clusters, dtype=np.int64)
-        leaf_misses = np.empty((n_intervals, width))
+        keys: list = []
+        rates: list[np.ndarray] = []
+        hulls: list[np.ndarray] = []
+        evaluated: set = set()
+
+        def track(key: Hashable) -> None:
+            """Append the next cluster, viewing its cached rows."""
+            keys.append(key)
+            pool_rates, pool_hulls = cache.pools[key]
+            rates.append(pool_rates)
+            hulls.append(pool_hulls)
+
         for c, (cp, s) in enumerate(zip(order, series)):
             mins[c] = cp
-            for t, curve in enumerate(s):
-                leaf_misses[t] = curve.misses
-                instr[c, t] = curve.instructions
-                accesses[c, t] = curve.accesses
-            rates[c] = leaf_misses / np.maximum(instr[c], 1e-12)[:, None]
-            for t in range(n_intervals):
-                hulls[c, t] = _lower_convex_hull_fast(rates[c, t])
+            instr[c] = [curve.instructions for curve in s]
+            accesses[c] = [curve.accesses for curve in s]
+            seen = cache.seen(cp)
+            if seen < n_intervals:
+                fresh = np.array([curve.misses for curve in s[seen:]])
+                fresh /= np.maximum(instr[c, seen:], 1e-12)[:, None]
+                cache.extend(cp, fresh)
+            track(cp)
 
         def pair_distances(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
             """Batched ``pool_distance`` over cluster-index pairs.
 
-            Inactive (pair, interval) lanes are compacted away up front;
-            active lanes run through the combine and partitioned-split
-            kernels in one batch, and per-pair totals accumulate in
-            interval order so the float sums match the serial loop.
+            Each pair's cached terms replay; its unseen intervals where
+            both pools are active become lanes, and the whole batch's
+            lanes run through the combine and partitioned-split kernels
+            at once.  Per-pair totals accumulate in interval order so the
+            float sums match the serial loop.
             """
-            total = np.zeros(len(ia))
-            active = (accesses[ia] > 0) & (accesses[ib] > 0)
-            lane_p, lane_t = np.nonzero(active)
-            if len(lane_p) == 0:
-                return total
-            ra = rates[ia[lane_p], lane_t]
-            rb = rates[ib[lane_p], lane_t]
-            instr_c = np.maximum(
-                instr[ia[lane_p], lane_t], instr[ib[lane_p], lane_t]
+            pair_keys = [(keys[a], keys[b]) for a, b in zip(ia.tolist(), ib.tolist())]
+            evaluated.update(pair_keys)
+            terms = np.zeros((len(pair_keys), n_intervals))
+            seen = np.zeros(len(pair_keys), dtype=np.int64)
+            for p, key in enumerate(pair_keys):
+                got = cache.terms.get(key)
+                if got is not None:
+                    seen[p] = len(got)
+                    terms[p, : len(got)] = got
+            unseen = np.arange(n_intervals) >= seen[:, None]
+            lane_p, lane_t = np.nonzero(
+                unseen & (accesses[ia] > 0) & (accesses[ib] > 0)
             )
-            combined = combine_rate_rows(ra, rb) * instr_c[:, None]
-            np.minimum.accumulate(combined, axis=1, out=combined)
-            np.clip(combined, 0.0, None, out=combined)
-            split = (
-                partitioned_rate_rows(
-                    hulls[ia[lane_p], lane_t], hulls[ib[lane_p], lane_t]
+            if len(lane_p):
+                la, lb = ia[lane_p], ib[lane_p]
+                terms[lane_p, lane_t] = _lane_area_terms(
+                    _gather(rates, la, lane_t),
+                    _gather(rates, lb, lane_t),
+                    _gather(hulls, la, lane_t),
+                    _gather(hulls, lb, lane_t),
+                    np.maximum(instr[la, lane_t], instr[lb, lane_t]),
                 )
-                * instr_c[:, None]
-            )
-            np.minimum.accumulate(split, axis=1, out=split)
-            np.clip(split, 0.0, None, out=split)
-            area = np.sum(combined - split, axis=1)
-            terms = np.zeros((len(ia), n_intervals))
-            terms[lane_p, lane_t] = np.maximum(area, 0.0) / np.maximum(
-                instr_c, 1e-12
-            )
+            for p in np.flatnonzero(seen < n_intervals).tolist():
+                cache.terms[pair_keys[p]] = terms[p].copy()
+            total = np.zeros(len(pair_keys))
             for t in range(n_intervals):
                 total = total + terms[:, t]
             return total
@@ -326,20 +432,24 @@ class WhirlToolAnalyzer:
             )
 
             new = n_leaves + step - 1
+            key = (keys[ci], keys[cj])
             members.append(members[ci] | members[cj])
             mins[new] = min(mins[ci], mins[cj])
             births[new] = step
             instr[new] = np.maximum(instr[ci], instr[cj])
             accesses[new] = accesses[ci] + accesses[cj]
-            # The merged pool's miss rows (combined model + the MissCurve
-            # monotone/clip normalization), used only to derive rates.
-            merged_misses = combine_rate_rows(rates[ci], rates[cj])
-            merged_misses *= instr[new][:, None]
-            np.minimum.accumulate(merged_misses, axis=1, out=merged_misses)
-            np.clip(merged_misses, 0.0, None, out=merged_misses)
-            rates[new] = merged_misses / np.maximum(instr[new], 1e-12)[:, None]
-            for t in range(n_intervals):
-                hulls[new, t] = _lower_convex_hull_fast(rates[new, t])
+            seen = cache.seen(key)
+            if seen < n_intervals:
+                # The merged pool's miss rows (combined model + the
+                # MissCurve monotone/clip normalization), used only to
+                # derive rates.
+                fresh = combine_rate_rows(rates[ci][seen:], rates[cj][seen:])
+                fresh *= instr[new, seen:, None]
+                np.minimum.accumulate(fresh, axis=1, out=fresh)
+                np.clip(fresh, 0.0, None, out=fresh)
+                fresh /= np.maximum(instr[new, seen:], 1e-12)[:, None]
+                cache.extend(key, fresh)
+            track(key)
             alive[ci] = alive[cj] = False
             survivors = np.flatnonzero(alive)
             alive[new] = True
@@ -349,184 +459,10 @@ class WhirlToolAnalyzer:
                 )
                 dist[new, survivors] = row
                 dist[survivors, new] = row
-        return result
-
-    def cluster_incremental(
-        self, profile: CallpointProfile, cache: IncrementalClusterCache
-    ) -> ClusteringResult:
-        """Re-cluster a growing profile, reusing cached leaf-pair terms.
-
-        The online engine: when a profile gains intervals (sealed
-        epochs) between re-clusters, the initial pair-distance table —
-        the O(pairs × intervals) bulk of :meth:`cluster` — only needs
-        the *new* interval columns; previously evaluated terms replay
-        from ``cache``.  The merge phase always runs fresh (merged
-        pools' curves depend on every interval).
-
-        Bit-identical to :meth:`cluster` on the same profile — merge
-        order, distances, tie-breaks — because per-lane terms are
-        batch-composition-independent (:func:`_lane_area_terms`) and
-        the per-pair total accumulates in the same interval order.
-        Degenerate profiles (ragged series, mismatched grids, <= 1
-        leaf) drop the cache and fall back to :meth:`cluster`, which
-        itself falls back to :meth:`cluster_reference`.
-        """
-        order = sorted(profile.curves)
-        n_leaves = len(order)
-        series = [profile.curves[cp] for cp in order]
-        flat = [c for s in series for c in s]
-        n_intervals = len(series[0]) if series else 0
-        if (
-            n_leaves <= 1
-            or n_intervals == 0
-            or any(len(s) != n_intervals for s in series)
-            or any(
-                c.chunk_bytes != flat[0].chunk_bytes
-                or c.n_chunks != flat[0].n_chunks
-                for c in flat
-            )
-        ):
-            cache.invalidate()
-            return self.cluster(profile)
-
-        width = flat[0].n_chunks + 1
-        grid = (flat[0].chunk_bytes, flat[0].n_chunks)
-        if cache.grid != grid or any(
-            len(v) > n_intervals for v in cache.terms.values()
-        ):
-            cache.invalidate()
-            cache.grid = grid
-
-        # Per-cluster state, exactly as in cluster().
-        total_clusters = 2 * n_leaves - 1
-        instr = np.empty((total_clusters, n_intervals))
-        accesses = np.empty((total_clusters, n_intervals))
-        rates = np.empty((total_clusters, n_intervals, width))
-        hulls = np.empty((total_clusters, n_intervals, width))
-        members: list[frozenset] = [frozenset({cp}) for cp in order]
-        mins = np.empty(total_clusters, dtype=np.int64)
-        births = np.zeros(total_clusters, dtype=np.int64)
-        leaf_misses = np.empty((n_intervals, width))
-        for c, (cp, s) in enumerate(zip(order, series)):
-            mins[c] = cp
-            for t, curve in enumerate(s):
-                leaf_misses[t] = curve.misses
-                instr[c, t] = curve.instructions
-                accesses[c, t] = curve.accesses
-            rates[c] = leaf_misses / np.maximum(instr[c], 1e-12)[:, None]
-            for t in range(n_intervals):
-                hulls[c, t] = _lower_convex_hull_fast(rates[c, t])
-
-        def pair_distances(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-            """Same batched pool_distance as cluster()'s closure."""
-            total = np.zeros(len(ia))
-            active = (accesses[ia] > 0) & (accesses[ib] > 0)
-            lane_p, lane_t = np.nonzero(active)
-            if len(lane_p) == 0:
-                return total
-            vals = _lane_area_terms(
-                rates[ia[lane_p], lane_t],
-                rates[ib[lane_p], lane_t],
-                hulls[ia[lane_p], lane_t],
-                hulls[ib[lane_p], lane_t],
-                np.maximum(
-                    instr[ia[lane_p], lane_t], instr[ib[lane_p], lane_t]
-                ),
-            )
-            terms = np.zeros((len(ia), n_intervals))
-            terms[lane_p, lane_t] = vals
-            for t in range(n_intervals):
-                total = total + terms[:, t]
-            return total
-
-        def term_column(ia: np.ndarray, ib: np.ndarray, t: int) -> np.ndarray:
-            """One interval's terms for a batch of leaf pairs."""
-            col = np.zeros(len(ia))
-            act = np.nonzero((accesses[ia, t] > 0) & (accesses[ib, t] > 0))[0]
-            if len(act) == 0:
-                return col
-            col[act] = _lane_area_terms(
-                rates[ia[act], t],
-                rates[ib[act], t],
-                hulls[ia[act], t],
-                hulls[ib[act], t],
-                np.maximum(instr[ia[act], t], instr[ib[act], t]),
-            )
-            return col
-
-        # Leaf-pair term matrix: cached prefixes + freshly computed
-        # columns for intervals each pair has not seen yet.
-        ii, jj = np.triu_indices(n_leaves, k=1)
-        keys = [(order[i], order[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-        lens = np.zeros(len(keys), dtype=np.int64)
-        term_matrix = np.zeros((len(keys), n_intervals))
-        for k, key in enumerate(keys):
-            got = cache.terms.get(key)
-            if got is not None and len(got):
-                lens[k] = len(got)
-                term_matrix[k, : lens[k]] = got
-        for t in range(n_intervals):
-            need = np.nonzero(lens <= t)[0]
-            if len(need):
-                term_matrix[need, t] = term_column(ii[need], jj[need], t)
-        for k, key in enumerate(keys):
-            if lens[k] < n_intervals:
-                cache.terms[key] = term_matrix[k].copy()
-        init = np.zeros(len(keys))
-        for t in range(n_intervals):
-            init = init + term_matrix[:, t]
-
-        # Merge phase: identical to cluster() from here on.
-        dist = np.full((total_clusters, total_clusters), np.inf)
-        dist[ii, jj] = init
-        dist[jj, ii] = init
-        alive = np.zeros(total_clusters, dtype=bool)
-        alive[:n_leaves] = True
-
-        result = ClusteringResult(
-            callpoints=profile.callpoints, names=dict(profile.names)
-        )
-        for step in range(1, n_leaves):
-            live = np.flatnonzero(alive)
-            sub = dist[np.ix_(live, live)]
-            iu, ju = np.triu_indices(len(live), k=1)
-            vals = sub[iu, ju]
-            d_min = vals.min()
-            ties = np.flatnonzero(vals == d_min)
-            lo = np.minimum(mins[live[iu[ties]]], mins[live[ju[ties]]])
-            hi = np.maximum(mins[live[iu[ties]]], mins[live[ju[ties]]])
-            pick = ties[np.lexsort((hi, lo))[0]]
-            ci, cj = live[iu[pick]], live[ju[pick]]
-            if births[ci] == 0 and births[cj] == 0:
-                a_id, b_id = (ci, cj) if mins[ci] < mins[cj] else (cj, ci)
-            else:
-                a_id, b_id = (ci, cj) if births[ci] > births[cj] else (cj, ci)
-            result.merges.append(
-                (members[a_id], members[b_id], float(d_min))
-            )
-
-            new = n_leaves + step - 1
-            members.append(members[ci] | members[cj])
-            mins[new] = min(mins[ci], mins[cj])
-            births[new] = step
-            instr[new] = np.maximum(instr[ci], instr[cj])
-            accesses[new] = accesses[ci] + accesses[cj]
-            merged_misses = combine_rate_rows(rates[ci], rates[cj])
-            merged_misses *= instr[new][:, None]
-            np.minimum.accumulate(merged_misses, axis=1, out=merged_misses)
-            np.clip(merged_misses, 0.0, None, out=merged_misses)
-            rates[new] = merged_misses / np.maximum(instr[new], 1e-12)[:, None]
-            for t in range(n_intervals):
-                hulls[new, t] = _lower_convex_hull_fast(rates[new, t])
-            alive[ci] = alive[cj] = False
-            survivors = np.flatnonzero(alive)
-            alive[new] = True
-            if len(survivors):
-                row = pair_distances(
-                    np.full(len(survivors), new), survivors
-                )
-                dist[new, survivors] = row
-                dist[survivors, new] = row
+        # Keep only what this tree uses: its 2L - 1 pools and the pairs
+        # it evaluated.
+        cache.pools = {key: cache.pools[key] for key in keys}
+        cache.terms = {key: cache.terms[key] for key in evaluated}
         return result
 
     def cluster_reference(self, profile: CallpointProfile) -> ClusteringResult:

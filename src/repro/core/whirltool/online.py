@@ -30,8 +30,10 @@ Each sealed epoch's curves feed a :class:`PhaseDetector` — the Fig-6 /
 Fig-11 signal (per-region APKI and MPKI at a probe size) compared
 against the previous epoch — and a phase change triggers a re-cluster
 through :meth:`~repro.core.whirltool.analyzer.WhirlToolAnalyzer.
-cluster_incremental`, which replays cached leaf-pair distance terms for
-already-evaluated epochs and only computes the new epoch's columns.
+cluster_incremental`.  Its cache keys every pool of the merge tree by
+merge structure and keeps the pool's per-epoch rate and hull rows and
+each evaluated pair's per-epoch distance terms, so a re-cluster computes
+only the epochs a pool or pair has not seen and replays the rest.
 Sealed epochs are final (integer bucket counts never change), which is
 exactly the cache's contract.
 """
@@ -404,8 +406,8 @@ class OnlineWhirlTool:
             obs.counter("online.phase_changes")
             obs.event("online.phase_change", epoch=t)
         if recluster:
-            # First cluster pays the full pair table; phase-triggered
-            # re-clusters replay cached columns (cluster_incremental).
+            # First cluster pays for every epoch; phase-triggered
+            # re-clusters replay cached epochs (cluster_incremental).
             obs.counter(
                 "online.recluster.full"
                 if self._result is None

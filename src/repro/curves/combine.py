@@ -34,7 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.curves.miss_curve import MissCurve, interp_rows, map_pair_batches
+from repro.curves.miss_curve import (
+    MissCurve,
+    _row_reader,
+    interp_rows,
+    map_pair_batches,
+)
 
 __all__ = [
     "advance_flow_heads",
@@ -119,12 +124,13 @@ def combine_rate_rows(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
         raise ValueError(f"rate rows must share a (B, n+1) shape, got {r1.shape} vs {r2.shape}")
     batch, width = r1.shape
     out = np.empty((batch, width), dtype=np.float64)
-    s1 = np.zeros(batch)
-    s2 = np.zeros(batch)
+    # Both operands' rows in one matrix, so each step reads all 2B heads
+    # (row 0 of `heads` is s1, row 1 is s2) with a single gather.
+    read = _row_reader(np.concatenate([r1, r2]))
+    heads = np.zeros((2, batch))
     for s in range(width):
-        f1 = interp_rows(r1, s1)
-        f2 = interp_rows(r2, s2)
-        f = f1 + f2
+        flows = read(heads.reshape(-1)).reshape(2, batch)
+        f = flows[0] + flows[1]
         out[:, s] = f
         flowing = f > 0.0
         if not flowing.any():
@@ -133,8 +139,7 @@ def combine_rate_rows(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
             out[:, s + 1 :] = f[:, None]
             break
         safe = np.where(flowing, f, 1.0)
-        s1 = s1 + np.where(flowing, f1 / safe, 0.0)
-        s2 = s2 + np.where(flowing, f2 / safe, 0.0)
+        heads = heads + np.where(flowing, flows / safe, 0.0)
     return out
 
 
@@ -191,10 +196,11 @@ def advance_flow_heads(
     n_streams, batch = included.shape
     heads = np.zeros(n_streams * batch)
     active = included.any(axis=0)
+    read = _row_reader(rates_flat)
     for __ in range(int(steps)):
         if not active.any():
             break
-        flows = interp_rows(rates_flat, heads).reshape(n_streams, batch)
+        flows = read(heads).reshape(n_streams, batch)
         flows = np.where(included, flows, 0.0)
         # Sequential accumulation over the (small) stream axis keeps the
         # sum order identical to the serial python `sum(flows)`.

@@ -268,18 +268,37 @@ def interp_rows(matrix: np.ndarray, pos: np.ndarray) -> np.ndarray:
     off the first segment — diverging from the serial oracle it is
     pinned against.)
     """
-    if bool((pos < 0).any()):
-        raise ValueError("pos must be non-negative")
+    return _row_reader(matrix)(pos)
+
+
+def _row_reader(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`interp_rows` bound to one ``matrix``, for repeated reads.
+
+    The row offsets into the flattened matrix and its final column are
+    computed once here, so a loop that reads the same rows at every step
+    (Listing 1's read heads) pays only the gather and the interpolation
+    per read.  Each read is :func:`interp_rows`' exact arithmetic and
+    domain check.
+    """
     n = matrix.shape[1] - 1
-    if n == 0:
-        return matrix[:, -1].copy()
-    over = pos >= n
-    lo = pos.astype(np.int64)
-    np.minimum(lo, n - 1, out=lo)
-    frac = pos - lo
-    rows = np.arange(matrix.shape[0])
-    interior = matrix[rows, lo] * (1 - frac) + matrix[rows, lo + 1] * frac
-    return np.where(over, matrix[:, -1], interior)
+    last = matrix[:, -1]
+    flat = np.ascontiguousarray(matrix).reshape(-1)
+    offsets = np.arange(matrix.shape[0]) * (n + 1)
+
+    def read(pos: np.ndarray) -> np.ndarray:
+        if bool((pos < 0).any()):
+            raise ValueError("pos must be non-negative")
+        if n == 0:
+            return last.copy()
+        over = pos >= n
+        lo = pos.astype(np.int64)
+        np.minimum(lo, n - 1, out=lo)
+        frac = pos - lo
+        at = offsets + lo
+        interior = flat[at] * (1 - frac) + flat[at + 1] * frac
+        return np.where(over, last, interior)
+
+    return read
 
 
 def _lower_convex_hull(values: np.ndarray) -> np.ndarray:

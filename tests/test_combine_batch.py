@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from repro.curves import MissCurve
 from repro.curves.combine import (
+    _read,
+    advance_flow_heads,
     combine_many,
     combine_miss_curves,
     combine_miss_curves_batch,
@@ -130,6 +132,155 @@ class TestSharedCacheMisses:
         got = shared_cache_misses(curves, 100 * CHUNK)
         want = shared_cache_misses_reference(curves, 100 * CHUNK)
         assert got == want
+
+
+#: The online classifier's grid width (400 chunks).
+WIDE = 401
+
+
+def _real_row(spec):
+    """A decaying head to the row's minimum, then a flat or rising tail."""
+    head, step, rising = spec
+    head = np.sort(np.array(head))[::-1]
+    tail = np.full(WIDE - len(head), head[-1])
+    if rising:
+        tail = tail + np.cumsum(np.full(len(tail), step))
+    return np.concatenate([head, tail])
+
+
+# Rate rows shaped like the ones clustering and S-NUCA accounting send:
+# misses per instruction fall to a floor early in the grid and stay
+# there (or rise, as a latency-shaped row would); an all-zero row is a
+# lane whose flow stops at the first step.
+real_row = st.one_of(
+    st.tuples(
+        st.lists(
+            st.one_of(st.floats(0, 1, allow_nan=False), st.just(-0.0)),
+            min_size=1,
+            max_size=80,
+        ),
+        st.floats(0, 1e-3, allow_nan=False),
+        st.booleans(),
+    ).map(_real_row),
+    st.just(np.zeros(WIDE)),
+)
+
+
+def listing1_rows(r1, r2):
+    """:func:`combine_miss_curves`' scalar loop, on raw rate rows."""
+    out = np.empty(r1.shape)
+    for b in range(len(r1)):
+        s1 = s2 = 0.0
+        for s in range(r1.shape[1]):
+            f1 = _read(r1[b], s1)
+            f2 = _read(r2[b], s2)
+            f = f1 + f2
+            out[b, s] = f
+            if f > 0:
+                s1 += f1 / f
+                s2 += f2 / f
+    return out
+
+
+def flow_heads_scalar(rates_flat, included, steps):
+    """:func:`shared_cache_misses_reference`'s head loop, lane by lane."""
+    n_streams, batch = included.shape
+    heads = np.zeros(n_streams * batch)
+    for b in range(batch):
+        rows = [k * batch + b for k in range(n_streams) if included[k, b]]
+        h = [0.0] * len(rows)
+        for __ in range(steps):
+            flows = [_read(rates_flat[r], x) for r, x in zip(rows, h)]
+            f = sum(flows)
+            if f <= 0:
+                break
+            for i, flow in enumerate(flows):
+                h[i] += flow / f
+        heads[rows] = h
+    return heads
+
+
+class TestRateRowKernels:
+    """``combine_rate_rows`` and ``advance_flow_heads``, called directly."""
+
+    def test_empty_batch(self):
+        assert combine_rate_rows(np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, 5)
+        heads = advance_flow_heads(np.zeros((0, 5)), np.zeros((2, 0), dtype=bool), 4)
+        assert heads.shape == (0,)
+
+    def test_single_column_grid(self):
+        r1 = np.array([[2.0], [0.0], [0.5]])
+        r2 = np.array([[1.0], [0.0], [0.0]])
+        got = combine_rate_rows(r1, r2)
+        assert got.tobytes() == listing1_rows(r1, r2).tobytes()
+        rates = np.array([[2.0], [0.0], [1.0], [0.0]])
+        included = np.ones((2, 2), dtype=bool)
+        got = advance_flow_heads(rates, included, 3)
+        assert got.tobytes() == flow_heads_scalar(rates, included, 3).tobytes()
+
+    def test_lanes_freeze_at_different_steps(self):
+        # Each lane's flow reaches zero once both heads pass its last
+        # nonzero rate, at a different step per lane.
+        rows = np.array(
+            [np.maximum(c - np.arange(12.0), 0.0) for c in (1.0, 2.0, 4.0, 0.0)]
+        )
+        got = combine_rate_rows(rows, rows)
+        assert got.tobytes() == listing1_rows(rows, rows).tobytes()
+        frozen_at = [int(np.flatnonzero(r == 0.0)[0]) for r in got]
+        assert sorted(frozen_at) == [0, 2, 4, 8]
+        rates = np.concatenate([rows, rows[::-1]])
+        included = np.ones((2, 4), dtype=bool)
+        for steps in (0, 1, 5, 40):
+            got = advance_flow_heads(rates, included, steps)
+            want = flow_heads_scalar(rates, included, steps)
+            assert got.tobytes() == want.tobytes()
+
+    def test_heads_past_the_grid_read_the_last_column(self):
+        # Two streams on a 4-point grid for 20 steps: both heads run past
+        # the final column, where reads clamp to it instead of following
+        # the rising last segment.
+        rates = np.array([[1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]])
+        included = np.ones((2, 1), dtype=bool)
+        got = advance_flow_heads(rates, included, 20)
+        assert got.tobytes() == flow_heads_scalar(rates, included, 20).tobytes()
+        assert (got > 3).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(real_row, real_row), min_size=1, max_size=4))
+    def test_wide_rows_bit_identical_to_scalar(self, pairs):
+        r1 = np.array([a for a, __ in pairs])
+        r2 = np.array([b for __, b in pairs])
+        got = combine_rate_rows(r1, r2)
+        assert got.tobytes() == listing1_rows(r1, r2).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_streams=st.integers(1, 3),
+        batch=st.integers(1, 3),
+        steps=st.integers(0, 450),
+        data=st.data(),
+    )
+    def test_wide_flow_heads_bit_identical_to_scalar(
+        self, n_streams, batch, steps, data
+    ):
+        size = n_streams * batch
+        rates = np.array(data.draw(st.lists(real_row, min_size=size, max_size=size)))
+        included = np.array(
+            data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        ).reshape(n_streams, batch)
+        got = advance_flow_heads(rates, included, steps)
+        want = flow_heads_scalar(rates, included, steps)
+        assert got.tobytes() == want.tobytes()
+
+    def test_head_driven_negative_raises(self):
+        # A negative rate moves its head backwards: the next read is below
+        # the grid, which interp_rows rejects.
+        r1 = np.array([[-1.0, -1.0, -1.0]])
+        r2 = np.array([[3.0, 3.0, 3.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            combine_rate_rows(r1, r2)
+        with pytest.raises(ValueError, match="non-negative"):
+            advance_flow_heads(np.concatenate([r1, r2]), np.ones((2, 1), dtype=bool), 3)
 
 
 class TestCombineManyTree:

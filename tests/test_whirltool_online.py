@@ -5,9 +5,10 @@ The tentpole contract: streaming a sized source to completion through
 sample shift) produces pools *exactly* equal — merge order, distances,
 tie-breaks — to :func:`online_pools_reference`, the offline
 profile-then-cluster pipeline.  Likewise
-:meth:`WhirlToolAnalyzer.cluster_incremental` replaying cached distance
-terms must reproduce :meth:`WhirlToolAnalyzer.cluster` float-for-float
-on every growing prefix of a profile.
+:meth:`WhirlToolAnalyzer.cluster_incremental` replaying cached pool rows
+and pair terms must reproduce the serial
+:meth:`WhirlToolAnalyzer.cluster_reference` float-for-float on every
+growing prefix of a profile.
 """
 
 import io
@@ -28,6 +29,7 @@ from repro.core.whirltool import (
     online_pools_reference,
 )
 from repro.core.whirltool.online import EpochReport
+from repro.curves import MissCurve
 from repro.curves.reuse import StackDistanceProfiler
 from repro.ingest import ArraySource, IterableSource, TraceChunk
 from repro.ingest.watch import follow_lines, open_stream_source, run_watch
@@ -136,31 +138,162 @@ def make_profile(seed, n_intervals=8, n_regions=4, n=800):
     return CallpointProfile(curves=curves, n_intervals=n_intervals)
 
 
+def structure(result):
+    """The merge sequence of a clustering, without its distances."""
+    return [(a, b) for a, b, __ in result.merges]
+
+
+def key_leaves(key):
+    """The callpoints under a structure-cache key."""
+    if isinstance(key, tuple):
+        return key_leaves(key[0]) | key_leaves(key[1])
+    return frozenset({key})
+
+
+def spy_kernels(monkeypatch):
+    """Count rows passed to ``combine_rate_rows`` and hulls computed."""
+    from repro.core.whirltool import analyzer
+
+    counts = {"lanes": 0, "hulls": 0}
+    combine = analyzer.combine_rate_rows
+    hull = analyzer._lower_convex_hull_fast
+
+    def counting_combine(r1, r2):
+        counts["lanes"] += len(r1)
+        return combine(r1, r2)
+
+    def counting_hull(values):
+        counts["hulls"] += 1
+        return hull(values)
+
+    monkeypatch.setattr(analyzer, "combine_rate_rows", counting_combine)
+    monkeypatch.setattr(analyzer, "_lower_convex_hull_fast", counting_hull)
+    return counts
+
+
 class TestIncrementalCluster:
-    """cluster_incremental replays cached terms; cluster is its oracle."""
+    """cluster_incremental replays cached rows; cluster_reference is its oracle."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100), n_intervals=st.sampled_from([1, 3, 8]))
-    def test_cold_cache_matches_cluster(self, seed, n_intervals):
+    def test_cold_cache_matches_reference(self, seed, n_intervals):
         profile = make_profile(seed, n_intervals=n_intervals)
         analyzer = WhirlToolAnalyzer()
         got = analyzer.cluster_incremental(profile, IncrementalClusterCache())
-        assert_same_result(got, analyzer.cluster(profile))
+        assert_same_result(got, analyzer.cluster_reference(profile))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 100))
     def test_growing_prefixes_one_cache(self, seed):
         # The online replay: one persistent cache, re-clustered at each
-        # prefix; every step must equal a from-scratch cluster().
+        # prefix; every step must equal the serial oracle.
         profile = make_profile(seed, n_intervals=8)
         analyzer = WhirlToolAnalyzer()
         cache = IncrementalClusterCache()
         for k in (1, 2, 4, 7, 8):
             prefix = profile_prefix(profile, k)
             got = analyzer.cluster_incremental(prefix, cache)
-            assert_same_result(got, analyzer.cluster(prefix))
+            assert_same_result(got, analyzer.cluster_reference(prefix))
         # The cache really was incremental: terms cover all 8 intervals.
         assert all(len(v) == 8 for v in cache.terms.values())
+
+    def test_changing_tree_matches_reference_at_every_step(self):
+        # Seed 1 over 5 regions re-shapes its tree between prefixes, so
+        # pools with the same members come back under other structures.
+        profile = make_profile(1, n_intervals=8, n_regions=5)
+        analyzer = WhirlToolAnalyzer()
+        cache = IncrementalClusterCache()
+        trees = []
+        for k in range(1, 9):
+            prefix = profile_prefix(profile, k)
+            got = analyzer.cluster_incremental(prefix, cache)
+            assert_same_result(got, analyzer.cluster_reference(prefix))
+            trees.append(structure(got))
+        assert any(a != b for a, b in zip(trees, trees[1:]))
+
+    def test_cache_holds_only_the_current_tree(self):
+        profile = make_profile(1, n_intervals=8, n_regions=5)
+        analyzer = WhirlToolAnalyzer()
+        cache = IncrementalClusterCache()
+        n_leaves = len(profile.curves)
+        for k in range(1, 9):
+            got = analyzer.cluster_incremental(profile_prefix(profile, k), cache)
+            tree = {frozenset({cp}) for cp in got.callpoints}
+            tree |= {a | b for a, b in structure(got)}
+            assert len(cache.pools) == 2 * n_leaves - 1
+            assert {key_leaves(key) for key in cache.pools} == tree
+            assert len(cache.terms) == (n_leaves - 1) ** 2
+            for a, b in cache.terms:
+                assert a in cache.pools and b in cache.pools
+            assert all(len(v) == k for v in cache.terms.values())
+            assert all(len(r) == len(h) == k for r, h in cache.pools.values())
+
+    def test_warm_recluster_evaluates_only_new_epochs(self, monkeypatch):
+        # Seed 0's tree is the same over 7 and 8 intervals.
+        profile = make_profile(0, n_intervals=8)
+        analyzer = WhirlToolAnalyzer()
+        cache = IncrementalClusterCache()
+        before = analyzer.cluster_incremental(profile_prefix(profile, 7), cache)
+        want = analyzer.cluster_reference(profile)
+        counts = spy_kernels(monkeypatch)
+        got = analyzer.cluster_incremental(profile, cache)
+        assert structure(got) == structure(before)
+        assert_same_result(got, want)
+        n_leaves = len(profile.curves)
+        # One new row per pool, and one lane per evaluated pair whose two
+        # pools are both active in the new epoch.
+        assert counts["hulls"] == 2 * n_leaves - 1
+
+        def active(key):
+            return any(profile.curves[cp][7].accesses > 0 for cp in key_leaves(key))
+
+        pair_lanes = sum(active(a) and active(b) for a, b in cache.terms)
+        assert counts["lanes"] == (n_leaves - 1) + pair_lanes
+        # Replaying the same profile again evaluates nothing.
+        counts.update(lanes=0, hulls=0)
+        again = analyzer.cluster_incremental(profile, cache)
+        assert_same_result(again, got)
+        assert counts == {"lanes": 0, "hulls": 0}
+
+    def test_late_callpoint_only_adds_keys(self, monkeypatch):
+        # A region first seen at interval 4 arrives with backfilled
+        # zero-access intervals (as OnlineWhirlTool builds them).
+        profile = make_profile(2, n_intervals=8, n_regions=5)
+        late = max(profile.curves)
+        early = CallpointProfile(
+            curves={cp: s[:4] for cp, s in profile.curves.items() if cp != late},
+            n_intervals=4,
+        )
+        zero = [
+            MissCurve.zero(c.n_chunks, c.chunk_bytes, c.instructions)
+            for c in profile.curves[late][:4]
+        ]
+        grown = CallpointProfile(
+            curves={**profile.curves, late: zero + profile.curves[late][4:]},
+            n_intervals=8,
+        )
+        analyzer = WhirlToolAnalyzer()
+        cache = IncrementalClusterCache()
+        analyzer.cluster_incremental(early, cache)
+        seen = {key: cache.seen(key) for key in cache.pools}
+        want = analyzer.cluster_reference(grown)
+        counts = spy_kernels(monkeypatch)
+        got = analyzer.cluster_incremental(grown, cache)
+        assert_same_result(got, want)
+        # The early leaves kept their rows; every pool computed only the
+        # intervals its key had not seen.
+        assert set(early.curves) <= set(seen) & set(cache.pools)
+        assert counts["hulls"] == sum(8 - seen.get(key, 0) for key in cache.pools)
+
+    def test_shrinking_profile_drops_cache(self):
+        profile = make_profile(4, n_intervals=8)
+        analyzer = WhirlToolAnalyzer()
+        cache = IncrementalClusterCache()
+        analyzer.cluster_incremental(profile, cache)
+        prefix = profile_prefix(profile, 3)
+        got = analyzer.cluster_incremental(prefix, cache)
+        assert_same_result(got, analyzer.cluster_reference(prefix))
+        assert all(len(r) == 3 for r, __ in cache.pools.values())
 
     def test_grid_change_invalidates(self):
         analyzer = WhirlToolAnalyzer()
@@ -173,14 +306,14 @@ class TestIncrementalCluster:
         )
         b = CallpointProfile(curves=curves, n_intervals=4)
         got = analyzer.cluster_incremental(b, cache)
-        assert_same_result(got, analyzer.cluster(b))
+        assert_same_result(got, analyzer.cluster_reference(b))
         assert cache.grid == (1024, 6)
 
     def test_single_leaf_falls_back(self):
         profile = make_profile(3, n_regions=1)
         analyzer = WhirlToolAnalyzer()
         got = analyzer.cluster_incremental(profile, IncrementalClusterCache())
-        assert_same_result(got, analyzer.cluster(profile))
+        assert_same_result(got, analyzer.cluster_reference(profile))
 
 
 class TestPhaseDetector:
