@@ -26,6 +26,16 @@ Two exact engines are provided:
 - :func:`stack_distances_reference` — the original per-access Fenwick
   sweep, kept as a slow, independently-derived oracle for tests and the
   perf gate.
+
+The bookkeeping around the sweep avoids full-trace stable sorts and
+hash tables.  Previous occurrences come from one quicksort of distinct
+(line, position) keys (:func:`_prev_occurrence`); sampled accesses are
+grouped by region with one quicksort of distinct (region, position) keys
+(:func:`_group_by_region`); and per-region access counts are the run
+lengths of a sorted copy of the region ids (:func:`_region_counts`).
+Keys made distinct by their position sort the same with or without
+stability, so each of these equals the stable sort it replaces.  The
+streaming engine (:mod:`repro.ingest.stream`) uses the same helpers.
 """
 
 from __future__ import annotations
@@ -208,7 +218,16 @@ def _prev_occurrence(lines: np.ndarray, regions: np.ndarray | None = None) -> np
     """Index of the previous access to the same line (-1 if none).
 
     With ``regions``, "same line" means same (region, line) pair, so each
-    region's stream is chained independently.
+    region's stream is chained independently.  The stream must then be
+    grouped by region (each region's accesses contiguous, as
+    :func:`_group_by_region` leaves them): the chain is built over
+    (line, position) keys alone, and a link whose two ends lie in
+    different regions is cut.
+
+    The keys pack ``line - min`` above the position bits, so they are
+    distinct and one quicksort orders them as a stable sort of lines
+    would; when the line span is too wide to pack, a stable sort of the
+    lines runs instead.
     """
     n = len(lines)
     prev = np.full(n, -1, dtype=np.int64)
@@ -216,27 +235,70 @@ def _prev_occurrence(lines: np.ndarray, regions: np.ndarray | None = None) -> np
         return prev
     lo = int(lines.min())
     span = int(lines.max()) - lo + 1
-    if regions is None:
-        # An unstable sort of (line * n + position) is a stable sort of
-        # lines, and quicksort beats the stable radix path.
-        if span <= (2**62) // max(n, 1):
-            order = np.argsort((lines - lo) * np.int64(n) + np.arange(n, dtype=np.int64))
-        else:
-            order = np.argsort(lines, kind="stable")
+    bits = (n - 1).bit_length()
+    if span <= (1 << 62) >> bits:
+        keys = lines.astype(np.int64)
+        keys -= lo
+        keys <<= bits
+        keys |= np.arange(n, dtype=np.int64)
+        keys.sort()
+        order = keys & ((1 << bits) - 1)
+        keys >>= bits
+        same = keys[1:] == keys[:-1]
+    else:
+        order = np.argsort(lines, kind="stable")
         sl = lines[order]
         same = sl[1:] == sl[:-1]
-    else:
-        rspan = int(regions.max()) + 1 if len(regions) else 1
-        if span * rspan <= 2**62:
-            key = (regions.astype(np.int64) * span + (lines - lo)).astype(np.int64)
-            order = np.argsort(key, kind="stable")
-        else:
-            order = np.lexsort((lines, regions))
-        sl = lines[order]
+    if regions is not None:
         sr = regions[order]
-        same = (sl[1:] == sl[:-1]) & (sr[1:] == sr[:-1])
+        same &= sr[1:] == sr[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a sorted array and the length of each run."""
+    if len(values) == 0:
+        return values[:0], np.zeros(0, dtype=np.int64)
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    ends = np.append(starts, len(values))
+    return values[ends - 1], np.diff(ends, prepend=0)
+
+
+def _region_counts(regions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct region ids and their access counts, from one sort."""
+    return _runs(np.sort(regions))
+
+
+def _group_by_region(
+    regions: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``idx`` grouped by region, in stream order within each.
+
+    ``idx`` must ascend.  Returns ``(src, grouped)``: the positions in
+    grouped order and their region ids.  The keys pack ``region - min``
+    above the position bits, so they are distinct and one quicksort
+    yields the stable sort's permutation; when the region span is too
+    wide to pack, a stable sort runs instead.
+    """
+    r = regions[idx]
+    if len(idx) == 0:
+        return idx, r
+    lo = int(r.min())
+    span = int(r.max()) - lo + 1
+    bits = int(idx[-1]).bit_length()
+    if span > (1 << 62) >> bits:
+        order = np.argsort(r, kind="stable")
+        return idx[order], r[order]
+    keys = r.astype(np.int64)
+    keys -= lo
+    keys <<= bits
+    keys |= idx
+    keys.sort()
+    src = keys & ((1 << bits) - 1)
+    keys >>= bits
+    keys += lo
+    return src, keys.astype(r.dtype)
 
 
 def _distances_from_prev(prev: np.ndarray, base: np.ndarray | int = 0) -> np.ndarray:
@@ -509,10 +571,12 @@ class StackDistanceProfiler:
     keeps profiling fast on long traces.  ``sample_shift = 0`` is exact.
 
     :meth:`profile` makes a single vectorized pass over the whole trace:
-    one sample mask, one previous-occurrence computation over composite
-    (region, line) keys, and one dominance-counting sweep produce every
-    region's distances at once; per-region, per-interval curves are then
-    cheap histogram reductions over views of that one distance array.
+    one sample mask, one grouping of the sampled accesses by region, one
+    previous-occurrence chain over (line, position) keys, and one
+    dominance-counting sweep produce every region's distances at once;
+    per-region, per-interval curves are then cheap histogram reductions
+    over views of that one distance array.  Unsampled access counts are
+    the run lengths of each interval's sorted region ids.
     """
 
     def __init__(
@@ -536,10 +600,10 @@ class StackDistanceProfiler:
     def _sample_mask(self, lines: np.ndarray) -> np.ndarray:
         if self.sample_shift == 0:
             return np.ones(len(lines), dtype=bool)
-        hashed = (lines.astype(np.uint64) * self._HASH_MULT) >> np.uint64(
-            64 - self.sample_shift
-        )
-        return hashed == 0
+        # The hash's top ``sample_shift`` bits are zero exactly when the
+        # product is below 2^(64 - shift).
+        words = np.asarray(lines, dtype=np.int64).view(np.uint64)
+        return words * self._HASH_MULT < np.uint64(1 << (64 - self.sample_shift))
 
     def profile(
         self,
@@ -571,25 +635,25 @@ class StackDistanceProfiler:
         scale = float(1 << self.sample_shift)
         instr_per_interval = instructions / n_intervals
         bounds = np.linspace(0, n, n_intervals + 1).astype(np.int64)
-        region_ids = np.unique(regions)
 
-        # Unsampled per-(region, interval) access counts, for exact APKI.
-        ridx = np.searchsorted(region_ids, regions)
-        interval_of = np.repeat(np.arange(n_intervals), np.diff(bounds))
-        acc_counts = np.bincount(
-            ridx * n_intervals + interval_of,
-            minlength=len(region_ids) * n_intervals,
-        ).reshape(len(region_ids), n_intervals)
+        # Unsampled per-(region, interval) access counts, for exact APKI:
+        # the run lengths of each interval's sorted region ids.
+        runs = [
+            _region_counts(regions[bounds[t] : bounds[t + 1]])
+            for t in range(n_intervals)
+        ]
+        region_ids = np.unique(np.concatenate([ids for ids, __ in runs]))
+        acc_counts = np.zeros((len(region_ids), n_intervals), dtype=np.int64)
+        for t, (ids, counts) in enumerate(runs):
+            acc_counts[np.searchsorted(region_ids, ids), t] = counts
 
         # One pass for every region: group the sampled accesses by region
-        # (stable, so each segment stays in stream order), chain previous
-        # occurrences over (region, line) keys, and resolve all distances
-        # in a single dominance-counting sweep.
-        keep = self._sample_mask(lines)
-        kept_idx = np.nonzero(keep)[0]
-        gorder = np.argsort(regions[kept_idx], kind="stable")
-        g_src = kept_idx[gorder]
-        g_regions = regions[g_src]
+        # (each segment stays in stream order), chain previous
+        # occurrences within each segment, and resolve all distances in a
+        # single dominance-counting sweep.
+        g_src, g_regions = _group_by_region(
+            regions, np.flatnonzero(self._sample_mask(lines))
+        )
         prev = _prev_occurrence(np.ascontiguousarray(lines[g_src]), g_regions)
         seg_starts = np.searchsorted(g_regions, region_ids, side="left")
         seg_ends = np.searchsorted(g_regions, region_ids, side="right")

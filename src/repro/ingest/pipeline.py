@@ -18,7 +18,7 @@ import numpy as np
 from repro.ingest.attribute import FALLBACK_NAME, AttributionTable
 from repro.ingest.formats import RTraceWriter, open_trace_source
 from repro.ingest.source import DEFAULT_CHUNK_RECORDS, TraceSource
-from repro.workloads.trace import Trace, Workload
+from repro.workloads.trace import RepeatFilter, Trace, Workload
 
 __all__ = [
     "AttributedSource",
@@ -77,49 +77,6 @@ def resolve_instructions(
             raise ValueError(f"apki must be positive, got {apki}")
         return n_records * 1000.0 / apki
     return source.instructions
-
-
-class _Dedup:
-    """Streaming consecutive-same-line dedup, per region.
-
-    Mirrors :meth:`TraceBuilder.finalize`'s private-cache model — a
-    region's immediately repeated lines are served by the private
-    levels — but carries each region's last-seen line across chunk
-    boundaries so the result is independent of chunking.
-    """
-
-    def __init__(self) -> None:
-        self._last: dict[int, int] = {}
-
-    def apply(
-        self, lines: np.ndarray, regions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(lines)
-        if n == 0:
-            return lines, regions
-        order = np.argsort(regions, kind="stable")
-        g_lines = lines[order]
-        g_regions = regions[order]
-        repeat = np.zeros(n, dtype=bool)
-        if n > 1:
-            same = (g_lines[1:] == g_lines[:-1]) & (
-                g_regions[1:] == g_regions[:-1]
-            )
-            repeat[order[1:]] = same
-        # Chunk boundary: each region's first access this chunk repeats
-        # if it matches the region's last line from the previous chunk.
-        firsts = np.ones(n, dtype=bool)
-        if n > 1:
-            firsts[1:] = g_regions[1:] != g_regions[:-1]
-        first_idx = np.nonzero(firsts)[0]
-        run_ends = np.append(first_idx[1:], n) - 1
-        for f, e in zip(first_idx.tolist(), run_ends.tolist()):
-            rid = int(g_regions[f])
-            if self._last.get(rid) == int(g_lines[f]):
-                repeat[order[f]] = True
-            self._last[rid] = int(g_lines[e])
-        keep = ~repeat
-        return lines[keep], regions[keep]
 
 
 def _chunk_regions(
@@ -182,15 +139,18 @@ def convert_to_rtrace(
         writer = RTraceWriter(
             dst, line_bytes=line_bytes, compression=compression
         )
-    deduper = _Dedup() if dedup else None
+    # Each region's last line carries across chunks, so the result does
+    # not depend on chunking.
+    repeats = RepeatFilter() if dedup else None
     has_regions = False
     try:
         for chunk in source.chunks(max_records):
             regions = _chunk_regions(chunk, table)
             has_regions = has_regions or chunk.regions is not None
             lines = chunk.addrs // line_bytes
-            if deduper is not None:
-                lines, regions = deduper.apply(lines, regions)
+            if repeats is not None:
+                keep = ~repeats.chunk(lines, regions)
+                lines, regions = lines[keep], regions[keep]
             writer.append(lines, regions)
     except BaseException:
         writer.close()

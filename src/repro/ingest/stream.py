@@ -67,7 +67,10 @@ from repro.curves.reuse import (
     StackDistanceProfiler,
     _distances_from_prev,
     _dominance_counts,
+    _group_by_region,
     _prev_occurrence,
+    _region_counts,
+    _runs,
 )
 from repro.ingest.source import DEFAULT_CHUNK_RECORDS, TraceChunk, TraceSource
 from repro.sim.profiling import relabel_regions
@@ -197,25 +200,22 @@ class StreamingProfile:
             hi = min(n, int(bounds[t + 1]) - offset)
             if lo >= hi:
                 continue  # empty interval straddled by this chunk
-            ids, counts = np.unique(regions[lo:hi], return_counts=True)
+            ids, counts = _region_counts(regions[lo:hi])
             for rid, c in zip(ids.tolist(), counts.tolist()):
                 self._accumulator(rid).add_accesses(t, c)
 
     def _process_chunk(self, lines: np.ndarray, regions: np.ndarray) -> None:
-        keep = self._p._sample_mask(lines)
-        kept = np.nonzero(keep)[0]
+        kept = np.flatnonzero(self._p._sample_mask(lines))
         if kept.size == 0:
             return
         # Group sampled accesses by region, preserving stream order.
-        gorder = np.argsort(regions[kept], kind="stable")
-        g_src = kept[gorder]
+        g_src, g_regions = _group_by_region(regions, kept)
         g_lines = np.ascontiguousarray(lines[g_src])
-        g_regions = regions[g_src]
         g_pos = self.offset + g_src  # global positions, ascending per segment
-        rids = np.unique(g_regions)
-        seg_starts = np.searchsorted(g_regions, rids, side="left")
-        seg_ends = np.searchsorted(g_regions, rids, side="right")
-        base = np.repeat(seg_starts, seg_ends - seg_starts)
+        rids, lengths = _runs(g_regions)
+        seg_ends = np.cumsum(lengths)
+        seg_starts = seg_ends - lengths
+        base = np.repeat(seg_starts, lengths)
 
         # Locally-hot distances from the chunk alone.
         prev = _prev_occurrence(g_lines, g_regions)

@@ -1,8 +1,10 @@
 """One shared writer for the perf-suite timings artifacts.
 
-The six ``benchmarks/test_perf_*`` modules used to hand-roll the same
-load-merge-write JSON dance with six subtly different shapes.  They
-now all call :func:`record_timings`, which writes one schema —
+Seven ``benchmarks/test_perf_*`` modules used to keep their timings
+their own way: six hand-rolled the same load-merge-write JSON dance
+with six subtly different shapes, and the profiling one printed its
+numbers and kept none.  They now all call :func:`record_timings`,
+which writes one schema —
 
 .. code-block:: json
 

@@ -35,22 +35,89 @@ from repro.workloads.trace import Trace
 __all__ = ["profile_vcs", "clear_cache", "relabel_regions"]
 
 
+#: Accesses :func:`relabel_regions` looks up at a time, so its index
+#: temporaries stay block-sized.
+_RELABEL_BLOCK = 1 << 16
+
+#: Fibonacci-hash multiplier (2^32 / golden ratio) for relabel slots.
+_SLOT_MULT = 0x9E3779B1
+
+
+def _slot_table(
+    mapping: dict[int, int], dtype: np.dtype
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """An open-addressed table of the mapping's ids, sized by their count.
+
+    An id's home slot is the top ``bits`` of its low 32 bits times
+    :data:`_SLOT_MULT`; a taken slot moves the id to the next free one.
+    The table grows (up to 2^16 slots) until every id sits at home, so a
+    lookup is usually one probe.  Empty slots map to VC 0.
+
+    Returns ``(bits, probes, ids, vcs)``: the slot-index width, the
+    largest displacement from home, and the slot contents.
+    """
+    info = np.iinfo(dtype)
+    ids = [rid for rid in mapping if info.min <= rid <= info.max]
+    bits = max(1, (2 * len(ids)).bit_length())
+    while True:
+        size = 1 << bits
+        slots: dict[int, int] = {}
+        probes = 0
+        for rid in ids:
+            home = ((rid & 0xFFFFFFFF) * _SLOT_MULT & 0xFFFFFFFF) >> (32 - bits)
+            d = 0
+            while (home + d) % size in slots:
+                d += 1
+            slots[(home + d) % size] = rid
+            probes = max(probes, d)
+        if probes == 0 or bits >= 16:
+            break
+        bits += 1
+    table = np.zeros(size, dtype=dtype)
+    vcs = np.zeros(size, dtype=np.int32)
+    for slot, rid in slots.items():
+        table[slot] = rid
+        vcs[slot] = mapping[rid]
+    return bits, probes, table, vcs
+
+
 def relabel_regions(
     regions: np.ndarray, mapping: dict[int, int]
 ) -> np.ndarray:
-    """Relabel region ids with VC ids via a dense LUT.
+    """Relabel region ids with VC ids via a table over the mapped ids.
+
+    The table (:func:`_slot_table`) is sized by the number of ids in
+    the mapping, not by their values, and accesses are looked up one
+    block at a time, so memory stays bounded for hashed callpoint ids
+    near 2^31 and no full-trace index temporary appears.
 
     Ids missing from the mapping fall into VC 0 — the convention both
     the in-memory path (:func:`profile_vcs`) and the streaming path
     (:meth:`repro.ingest.stream.StreamingStackProfiler.profile_source`)
     share.
     """
-    max_rid = int(regions.max()) if len(regions) else 0
-    lut = np.zeros(max_rid + 1, dtype=np.int32)
-    for rid, vc in mapping.items():
-        if 0 <= rid <= max_rid:
-            lut[rid] = vc
-    return lut[regions]
+    regions = np.asarray(regions)
+    out = np.zeros(len(regions), dtype=np.int32)
+    if not mapping or not len(regions):
+        return out
+    bits, probes, table, vcs = _slot_table(mapping, regions.dtype)
+    shift = np.uint32(32 - bits)
+    for lo in range(0, len(regions), _RELABEL_BLOCK):
+        block = regions[lo : lo + _RELABEL_BLOCK]
+        # The unsafe cast keeps an id's low 32 bits, as the table does.
+        home = np.multiply(
+            block, np.uint32(_SLOT_MULT), dtype=np.uint32, casting="unsafe"
+        )
+        home >>= shift
+        slot = home.astype(np.intp)
+        dst = out[lo : lo + _RELABEL_BLOCK]
+        for d in range(probes + 1):
+            if d:
+                slot += 1
+                slot &= len(table) - 1
+            # At most one probe finds the id; the others add VC 0.
+            dst += vcs.take(slot) * (table.take(slot) == block)
+    return out
 
 #: On-disk cache version (defined in :mod:`repro.store.profiles`, the
 #: payload's single source of truth).  Version 1 fingerprints hashed only

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.mem.allocator import Allocation, HeapAllocator
 
-__all__ = ["Trace", "TraceBuilder", "Workload", "interleave"]
+__all__ = ["RepeatFilter", "Trace", "TraceBuilder", "Workload", "interleave"]
 
 
 def _validated_addresses(arr, dtype, what: str) -> np.ndarray:
@@ -160,6 +160,21 @@ class Workload:
         return self.trace.region_names
 
 
+def _merge_order(lengths: list[int]) -> np.ndarray:
+    """Gather order that proportionally merges streams of these lengths.
+
+    Stream ``i``'s ``j``-th element sits at fractional position
+    ``(j + 0.5) / len_i``; a stable sort of the positions, taken in
+    stream order, merges the streams and breaks ties by stream index.
+    Each stream's positions form one sorted run, so the stable sort
+    costs little.
+    """
+    positions = np.concatenate(
+        [(np.arange(k) + 0.5) / k for k in lengths if k] or [np.empty(0)]
+    )
+    return np.argsort(positions, kind="stable")
+
+
 def interleave(*streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Proportionally interleave several access streams.
 
@@ -173,21 +188,54 @@ def interleave(*streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ``(merged_values, source_index)`` — the merged stream and, for
         each element, the index of the stream it came from.
     """
-    arrays = [np.asarray(s) for s in streams if len(s) > 0]
-    sources: list[int] = [
-        i for i, s in enumerate(streams) if len(s) > 0
-    ]
-    if not arrays:
+    arrays = [np.asarray(s) for s in streams]
+    lengths = [len(a) for a in arrays]
+    if not any(lengths):
         return np.array([], dtype=np.int64), np.array([], dtype=np.int32)
-    positions = np.concatenate(
-        [(np.arange(len(a)) + 0.5) / len(a) for a in arrays]
-    )
-    values = np.concatenate(arrays)
-    src = np.concatenate(
-        [np.full(len(a), sources[i], dtype=np.int32) for i, a in enumerate(arrays)]
-    )
-    order = np.argsort(positions, kind="stable")
+    order = _merge_order(lengths)
+    values = np.concatenate([a for a in arrays if len(a)])
+    src = np.repeat(np.arange(len(arrays), dtype=np.int32), lengths)
     return values[order], src[order]
+
+
+class RepeatFilter:
+    """Flags each access that repeats its region's previous line.
+
+    The private-cache model behind dedup: a region's private levels
+    serve an immediately repeated line, so the LLC sees each
+    sequentially touched line once.  Each region's last line carries
+    from call to call, so the flags do not depend on how a region's
+    stream is split into calls.
+    """
+
+    def __init__(self) -> None:
+        self._last: dict[int, int] = {}
+
+    def stream(self, lines: np.ndarray, region: int) -> np.ndarray:
+        """Repeat flags for the next lines of one region's stream."""
+        repeat = np.empty(len(lines), dtype=bool)
+        if len(lines):
+            repeat[0] = self._last.get(region) == int(lines[0])
+            np.equal(lines[1:], lines[:-1], out=repeat[1:])
+            self._last[region] = int(lines[-1])
+        return repeat
+
+    def chunk(self, lines: np.ndarray, regions: np.ndarray) -> np.ndarray:
+        """Repeat flags for a chunk that interleaves several regions.
+
+        Each region's accesses in the chunk, in order, continue that
+        region's stream.
+        """
+        repeat = np.empty(len(lines), dtype=bool)
+        if len(lines) == 0:
+            return repeat
+        order = np.argsort(regions, kind="stable")
+        grouped = regions[order]
+        starts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        for s, e in zip([0, *starts.tolist()], [*starts.tolist(), len(order)]):
+            idx = order[s:e]
+            repeat[idx] = self.stream(lines[idx], int(grouped[s]))
+        return repeat
 
 
 class TraceBuilder:
@@ -202,6 +250,8 @@ class TraceBuilder:
         self.line_bytes = line_bytes
         self._chunks: list[np.ndarray] = []
         self._region_chunks: list[np.ndarray] = []
+        self._repeat_chunks: list[np.ndarray] = []
+        self._repeats = RepeatFilter()
         self._region_names: dict[int, str] = {}
         self._next_region = 0
 
@@ -228,33 +278,54 @@ class TraceBuilder:
         self._next_region = max(self._next_region, rid + 1)
         return rid
 
+    def _lines(self, addrs) -> np.ndarray:
+        return _validated_addresses(addrs, np.int64, "addrs") // self.line_bytes
+
     def access(self, addrs: np.ndarray, region: int) -> None:
         """Append byte-address accesses for one region, in order.
+
+        Accesses are stored as lines, each flagged as it is recorded when
+        it repeats the region's previous line (:class:`RepeatFilter`);
+        :meth:`finalize` drops the flagged ones under ``dedup``.
 
         Rejects non-integer dtypes and negative addresses — external
         trace ingestion feeds this path, so malformed input must fail
         loudly instead of being silently cast.
         """
-        addrs = _validated_addresses(addrs, np.int64, "addrs")
-        if len(addrs) == 0:
+        lines = self._lines(addrs)
+        if len(lines) == 0:
             return
         if region not in self._region_names:
             raise ValueError(f"region {region} not registered")
-        self._chunks.append(addrs)
-        self._region_chunks.append(np.full(len(addrs), region, dtype=np.int32))
+        self._chunks.append(lines)
+        self._region_chunks.append(np.full(len(lines), region, dtype=np.int32))
+        self._repeat_chunks.append(self._repeats.stream(lines, region))
 
     def access_interleaved(self, streams: dict[int, np.ndarray]) -> None:
-        """Append several regions' streams, proportionally interleaved."""
+        """Append several regions' streams, proportionally interleaved.
+
+        The merge (see :func:`interleave`) keeps each region's accesses
+        in stream order, so the repeat flags computed on each stream
+        carry over to the merged chunk unchanged.
+        """
         regions = list(streams.keys())
         for r in regions:
             if r not in self._region_names:
                 raise ValueError(f"region {r} not registered")
-        values, src = interleave(*[streams[r] for r in regions])
-        if len(values) == 0:
+        lines = [self._lines(streams[r]) for r in regions]
+        lengths = [len(x) for x in lines]
+        if not any(lengths):
             return
-        region_ids = np.array(regions, dtype=np.int32)[src]
-        self._chunks.append(_validated_addresses(values, np.int64, "addrs"))
-        self._region_chunks.append(region_ids)
+        order = _merge_order(lengths)
+        self._chunks.append(np.concatenate(lines)[order])
+        self._region_chunks.append(
+            np.repeat(np.array(regions, dtype=np.int32), lengths)[order]
+        )
+        self._repeat_chunks.append(
+            np.concatenate(
+                [self._repeats.stream(x, r) for x, r in zip(lines, regions)]
+            )[order]
+        )
 
     @property
     def n_accesses(self) -> int:
@@ -271,7 +342,9 @@ class TraceBuilder:
 
         With ``dedup`` (default), consecutive same-line accesses *within a
         region's own stream* are collapsed: the private L1/L2 would serve
-        them, so the LLC sees each sequentially-touched line once.
+        them, so the LLC sees each sequentially-touched line once.  The
+        repeats were flagged as the accesses were recorded, so this only
+        drops them.
 
         Provide either ``instructions`` (explicit count) or ``apki`` (the
         instruction count is derived from the post-dedup access count so
@@ -281,22 +354,13 @@ class TraceBuilder:
             raise ValueError("no accesses recorded")
         if (instructions is None) == (apki is None):
             raise ValueError("provide exactly one of instructions / apki")
-        addrs = np.concatenate(self._chunks)
-        regions = np.concatenate(self._region_chunks)
-        lines = addrs // self.line_bytes
-        if dedup and len(lines) > 1:
-            # Group accesses by region (stable, preserving program order
-            # within each region) and drop immediate repeats.
-            order = np.argsort(regions, kind="stable")
-            g_lines = lines[order]
-            g_regions = regions[order]
-            repeat = np.zeros(len(lines), dtype=bool)
-            same_line = g_lines[1:] == g_lines[:-1]
-            same_region = g_regions[1:] == g_regions[:-1]
-            repeat[order[1:]] = same_line & same_region
-            keep = ~repeat
-            lines = lines[keep]
-            regions = regions[keep]
+        lines, regions = self._chunks, self._region_chunks
+        if dedup:
+            # Chunk by chunk, so no full-length pre-dedup copy is made.
+            keep = [~repeat for repeat in self._repeat_chunks]
+            lines = [c[k] for c, k in zip(lines, keep)]
+            regions = [c[k] for c, k in zip(regions, keep)]
+        lines, regions = np.concatenate(lines), np.concatenate(regions)
         if instructions is None:
             instructions = len(lines) * 1000.0 / apki
         return Trace(

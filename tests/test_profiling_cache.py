@@ -10,6 +10,7 @@ too: shared curves are read-only, and a replaced payload is re-read.
 import hashlib
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -459,3 +460,59 @@ class TestCurveMemo:
         for mine, theirs in zip(all_curves(out), all_curves(shared)):
             assert mine is not theirs
             assert not np.shares_memory(mine.misses, theirs.misses)
+
+
+class TestRelabel:
+    """``relabel_regions``: a table over the mapped ids, not their values."""
+
+    def test_wide_ids_stay_within_memory_bound(self):
+        rng = np.random.default_rng(3)
+        regions = rng.integers(0, 50, size=1_000_000).astype(np.int32)
+        regions[::7] = 2**31 - 1
+        mapping = {3: 1, 2**31 - 1: 2, 49: 4, 1234: 5}
+        tracemalloc.start()
+        try:
+            vcs = profiling.relabel_regions(regions, mapping)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"relabel peaked at {peak / 2**20:.1f} MB"
+        want = np.zeros(len(regions), dtype=np.int32)
+        for rid, vc in mapping.items():
+            want[regions == rid] = vc
+        assert np.array_equal(vcs, want)
+        assert not vcs[~np.isin(regions, list(mapping))].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(
+            st.integers(0, 2**31 - 1), min_size=1, max_size=40, unique=True
+        ),
+        picks=st.lists(st.integers(0, 39), max_size=300),
+        vcs=st.lists(st.integers(0, 7), min_size=40, max_size=40),
+        mapped=st.lists(st.booleans(), min_size=40, max_size=40),
+    )
+    def test_matches_dict_lookup(self, ids, picks, vcs, mapped):
+        regions = np.array([ids[i % len(ids)] for i in picks], dtype=np.int32)
+        mapping = {rid: vcs[i] for i, rid in enumerate(ids) if mapped[i]}
+        want = [mapping.get(int(r), 0) for r in regions]
+        got = profiling.relabel_regions(regions, mapping)
+        assert got.dtype == np.int32
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "ids, displaced",
+        [
+            # More random ids than the largest table keeps at home.
+            (np.random.default_rng(4).choice(2**31, 5000, replace=False), True),
+            (np.arange(64) << 24, False),  # strided ids sharing low bits
+        ],
+    )
+    def test_crowded_tables_probe_every_id(self, ids, displaced):
+        rng = np.random.default_rng(9)
+        regions = rng.choice(ids, size=200_000).astype(np.int32)
+        mapping = {int(r): 1 + int(r) % 5 for r in ids[::2]}
+        probes = profiling._slot_table(mapping, regions.dtype)[1]
+        assert (probes > 0) == displaced
+        want = np.array([mapping.get(int(r), 0) for r in regions], dtype=np.int32)
+        assert np.array_equal(profiling.relabel_regions(regions, mapping), want)

@@ -11,7 +11,7 @@ from repro.curves import (
     stack_distances,
     stack_distances_reference,
 )
-from repro.curves.reuse import COLD
+from repro.curves.reuse import COLD, _group_by_region, _prev_occurrence
 
 
 def brute_force_distances(lines):
@@ -97,26 +97,34 @@ class TestVectorizedEngineVsReference:
                 stack_distances(arr), stack_distances_reference(arr)
             )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         lines=st.lists(st.integers(0, 31), min_size=1, max_size=300),
-        regions=st.lists(st.integers(0, 4), min_size=1, max_size=300),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=300),
+        region_ids=st.lists(
+            st.integers(0, 2**31 - 1), min_size=1, max_size=5, unique=True
+        ),
+        line_step=st.sampled_from([977, 2**57]),
         n_intervals=st.integers(1, 4),
         sample_shift=st.sampled_from([0, 3]),
     )
     def test_profiler_curves_match_reference_engine(
-        self, lines, regions, n_intervals, sample_shift
+        self, lines, picks, region_ids, line_step, n_intervals, sample_shift
     ):
         """Full MissCurve equality at sample_shift 0 and 3.
 
         The reference computation mirrors the pre-vectorization profiler:
-        per-region re-slicing with Fenwick distances.
+        per-region re-slicing with Fenwick distances.  Region ids range
+        over [0, 2^31 - 1], and a ``line_step`` of 2^57 spreads lines so
+        that span x n exceeds 2^62 and the stable-sort fallback runs.
         """
-        n = min(len(lines), len(regions))
+        n = min(len(lines), len(picks))
         # Spread line values so the sampling hash selects a non-trivial
         # subset.
-        lines = np.array(lines[:n], dtype=np.int64) * 977
-        regions = np.array(regions[:n], dtype=np.int32)
+        lines = np.array(lines[:n], dtype=np.int64) * line_step
+        regions = np.array(
+            [region_ids[i % len(region_ids)] for i in picks[:n]], dtype=np.int32
+        )
         prof = StackDistanceProfiler(
             chunk_bytes=1024, n_chunks=6, sample_shift=sample_shift
         )
@@ -150,6 +158,72 @@ class TestVectorizedEngineVsReference:
                 else:
                     expect = np.full(7, float(n_acc))
                 assert np.array_equal(curve.misses, expect)
+
+    def test_sample_mask_keeps_the_hash_prefix(self):
+        """The mask keeps a line iff its hash's top bits are zero."""
+        rng = np.random.default_rng(5)
+        lines = rng.integers(0, 2**62, size=5000)
+        for shift in (1, 3, 7):
+            prof = StackDistanceProfiler(1024, 4, sample_shift=shift)
+            hashed = (lines.astype(np.uint64) * prof._HASH_MULT) >> np.uint64(
+                64 - shift
+            )
+            assert np.array_equal(prof._sample_mask(lines), hashed == 0)
+
+
+def _chained(lines, regions):
+    """Oracle: previous index of the same (region, line), or -1."""
+    last, out = {}, []
+    for i, key in enumerate(zip(regions, lines)):
+        out.append(last.get(key, -1))
+        last[key] = i
+    return np.array(out, dtype=np.int64)
+
+
+class TestGroupedChaining:
+    @pytest.mark.parametrize("offset", [0, 2**61])
+    def test_regions_touching_one_line_back_to_back(self, offset):
+        """Adjacent equal lines from two regions must not be chained.
+
+        Region 1 ends and region 2 starts on line 5, so the (line,
+        position) sort puts positions 2 and 3 next to each other; only
+        the region comparison keeps them apart.  An offset of 2^61 makes
+        span x n overflow, so the stable fallback runs the same check.
+        """
+        lines = np.array([5, 7, 5, 5, 9, 5, 0], dtype=np.int64)
+        lines[:6] += offset
+        regions = np.array([1, 1, 1, 2, 2, 2, 3], dtype=np.int32)
+        got = _prev_occurrence(lines, regions)
+        assert got.tolist() == [-1, -1, 0, -1, -1, 3, -1]
+        assert np.array_equal(got, _chained(lines.tolist(), regions.tolist()))
+        assert _prev_occurrence(lines).tolist() == [-1, -1, 0, 2, -1, 3, -1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=200
+        ),
+        step=st.sampled_from([1, 2**60]),
+    )
+    def test_grouped_chain_matches_oracle(self, pairs, step):
+        regions = np.array([r for r, __ in pairs], dtype=np.int32)
+        lines = np.array([x for __, x in pairs], dtype=np.int64) * step
+        src, grouped = _group_by_region(regions, np.arange(len(pairs)))
+        assert np.array_equal(src, np.argsort(regions, kind="stable"))
+        assert np.array_equal(grouped, regions[src])
+        g_lines = lines[src]
+        assert np.array_equal(
+            _prev_occurrence(g_lines, grouped),
+            _chained(g_lines.tolist(), grouped.tolist()),
+        )
+
+    def test_group_by_region_wide_ids_fall_back(self):
+        """Region ids too wide to pack with positions keep a stable sort."""
+        regions = np.array([2**62, 0, 2**62, 5, 0], dtype=np.int64)
+        idx = np.array([0, 1, 2, 4], dtype=np.int64)
+        src, grouped = _group_by_region(regions, idx)
+        assert src.tolist() == [1, 4, 0, 2]
+        assert grouped.tolist() == [0, 0, 2**62, 2**62]
 
 
 class TestMissCurveFromDistances:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem import HeapAllocator
 from repro.workloads.trace import Trace, TraceBuilder, interleave
@@ -263,3 +265,82 @@ class TestTraceBuilder:
         r = tb.region("a")
         tb.access(np.array([0, 64]), r)
         assert tb.n_accesses == 2
+
+
+def _old_rule_keep(lines: np.ndarray, regions: np.ndarray) -> np.ndarray:
+    """Oracle: group accesses by region (stable), drop a line equal to the
+    region's previous line, and map the flags back to program order."""
+    keep = np.ones(len(lines), dtype=bool)
+    order = np.argsort(regions, kind="stable")
+    g_lines, g_regions = lines[order], regions[order]
+    same = (g_lines[1:] == g_lines[:-1]) & (g_regions[1:] == g_regions[:-1])
+    keep[order[1:][same]] = False
+    return keep
+
+
+# One call: ("one", region index, line list) or ("mix", {region index:
+# line list}).  Few distinct lines make repeats common, inside a call,
+# across calls, and across regions.
+_LINES = st.lists(st.integers(0, 3), max_size=12)
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("one"), st.integers(0, 2), _LINES),
+        st.tuples(
+            st.just("mix"), st.dictionaries(st.integers(0, 2), _LINES, max_size=3)
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestTraceBuilderDedup:
+    @settings(max_examples=200, deadline=None)
+    @given(calls=_CALLS, line_bytes=st.sampled_from([1, 64]))
+    def test_record_time_dedup_matches_grouped_rule(self, calls, line_bytes):
+        tb = TraceBuilder(line_bytes=line_bytes)
+        rids = [tb.region(name) for name in ("a", "b", "c")]
+        lines, regions = [], []
+        for kind, *args in calls:
+            if kind == "one":
+                r, ls = args
+                addrs = np.array(ls, dtype=np.int64) * line_bytes
+                tb.access(addrs, rids[r])
+                lines += ls
+                regions += [rids[r]] * len(ls)
+            else:
+                (streams,) = args
+                arrays = {
+                    rids[r]: np.array(ls, dtype=np.int64) * line_bytes
+                    for r, ls in streams.items()
+                }
+                tb.access_interleaved(arrays)
+                merged, src = interleave(*arrays.values())
+                keys = list(arrays)
+                lines += (merged // line_bytes).tolist()
+                regions += [keys[i] for i in src.tolist()]
+            assert tb.n_accesses == len(lines)
+        if not lines:
+            with pytest.raises(ValueError, match="no accesses"):
+                tb.finalize(instructions=1.0)
+            return
+        lines = np.array(lines, dtype=np.int64)
+        regions = np.array(regions, dtype=np.int32)
+        keep = _old_rule_keep(lines, regions)
+        deduped = tb.finalize(instructions=1.0)
+        assert np.array_equal(deduped.lines, lines[keep])
+        assert np.array_equal(deduped.regions, regions[keep])
+        everything = tb.finalize(instructions=1.0, dedup=False)
+        assert np.array_equal(everything.lines, lines)
+        assert np.array_equal(everything.regions, regions)
+
+    def test_repeat_across_calls_is_dropped(self):
+        tb = TraceBuilder()
+        ra, rb = tb.region("a"), tb.region("b")
+        tb.access(np.array([0, 64]), ra)
+        tb.access_interleaved({rb: np.array([64]), ra: np.array([64, 128])})
+        tb.access(np.array([128]), ra)
+        trace = tb.finalize(instructions=1.0)
+        # a: 0 1 | 1 2 | 2 -> 0 1 2; b's line 1 is b's first access.
+        assert sorted(trace.lines[trace.regions == ra].tolist()) == [0, 1, 2]
+        assert trace.lines[trace.regions == rb].tolist() == [1]
