@@ -8,11 +8,11 @@ incremental path), and gates the mean per-epoch cost at >=
 ``SPEEDUP_FLOOR``x cheaper than a from-scratch re-profile + re-cluster
 of the prefix with the same streaming engine.  It also pins the final
 streamed pools bit-identical to the offline oracle, so the speed never
-comes from drift.  A second, count-based gate checks what the last
-epoch's re-cluster replays: it may evaluate at most
-``REPLAY_SHARE_CEILING`` of the lanes (rows passed to
-``combine_rate_rows``) that a cold-cache re-cluster of the same profile
-evaluates.
+comes from drift.  A second test checks what the last epoch's
+re-cluster replays: it may evaluate at most ``REPLAY_SHARE_CEILING`` of
+the lanes (rows passed to ``combine_rate_rows``) that a cold-cache
+re-cluster of the same profile evaluates, and take at most
+``TIME_RATIO_CEILING`` of its seconds (both timed best of ``REPLAYS``).
 
 Timings land in ``benchmarks/perf_online_timings.json`` (gitignored)
 for the CI artifact upload, same contract as the other perf smokes.
@@ -59,6 +59,19 @@ SPEEDUP_FLOOR = 5.0
 #: every merged pool would evaluate about half of them.
 REPLAY_SHARE_CEILING = 0.25
 
+#: CI gate: the last epoch's re-cluster takes at most this share of a
+#: cold-cache re-cluster's seconds, so its time follows its lanes, not a
+#: fixed cost per combine call.  The narrow batches it sends run lane by
+#: lane and the ratio reads about 0.25; when every batch paid the
+#: vectorized step loop's fixed cost, it read 0.4-0.9 (median 0.67, nine
+#: runs) for the same 12-of-192 lane share.
+TIME_RATIO_CEILING = 0.5
+
+#: Both re-clusters the time gate compares are replayed this many times,
+#: each from its own cache state, and the best time kept: one scheduler
+#: stall in a re-cluster of a few milliseconds must not fail the gate.
+REPLAYS = 3
+
 TIMINGS_PATH = Path(__file__).parent / "perf_online_timings.json"
 
 GRID = dict(chunk_bytes=64 * 1024, n_chunks=32, sample_shift=3)
@@ -98,6 +111,31 @@ class _LaneLog(WhirlToolAnalyzer):
             (profile.n_intervals, self.lanes[0] - before, time.perf_counter() - t0)
         )
         return result
+
+
+def _replay(analyzer, profile, cached_epochs):
+    """Best-of-``REPLAYS`` (lanes, seconds, pools) of re-clustering ``profile``.
+
+    Each replay starts from a cache that has clustered only the first
+    ``cached_epochs`` epochs (0: a cold cache), the state a streamed
+    re-cluster at that epoch starts from.
+    """
+    prefix = CallpointProfile(
+        curves={cp: series[:cached_epochs] for cp, series in profile.curves.items()},
+        names=profile.names,
+        n_intervals=cached_epochs,
+    )
+    best = None
+    for __ in range(REPLAYS):
+        cache = IncrementalClusterCache()
+        if cached_epochs:
+            analyzer.cluster_incremental(prefix, cache)
+        analyzer.log.clear()
+        pools = analyzer.cluster_incremental(profile, cache)
+        ((__, lanes, seconds),) = analyzer.log
+        if best is None or seconds < best[1]:
+            best = (lanes, seconds, pools)
+    return best
 
 
 def _make_trace(seed=31):
@@ -200,7 +238,7 @@ class TestPerfOnline:
         )
 
     def test_perf_smoke_last_recluster_replays(self, monkeypatch):
-        """CI gate: the last epoch's re-cluster replays all but its new lanes."""
+        """CI gate: the last epoch's re-cluster computes only its new lanes."""
         lines, regions = _make_trace()
         lanes = [0]
         combine = analyzer_module.combine_rate_rows
@@ -225,31 +263,44 @@ class TestPerfOnline:
         pushed = list(analyzer.log)
         assert [n for n, __, __ in pushed] == list(range(1, EPOCHS + 1))
         __, last_lanes, last_s = pushed[-1]
-        analyzer.log.clear()
-        cold = analyzer.cluster_incremental(tool.profile(), IncrementalClusterCache())
+        profile = tool.profile()
+        replay_lanes, replay_s, replayed = _replay(analyzer, profile, EPOCHS - 1)
+        assert replay_lanes == last_lanes
+        assert replayed.merges == tool.pools.merges
+        cold_lanes, cold_s, cold = _replay(analyzer, profile, 0)
         assert cold.merges == tool.pools.merges
-        ((__, cold_lanes, cold_s),) = analyzer.log
         share = last_lanes / cold_lanes
+        time_ratio = replay_s / cold_s
         per_epoch = {}
         for n, n_lanes, seconds in pushed:
             per_epoch[f"epoch{n:02d}_lanes"] = n_lanes
             per_epoch[f"epoch{n:02d}_s"] = seconds
         _record_timings(
             "online_last_recluster_replay",
-            gate=f"lane share <= {REPLAY_SHARE_CEILING}",
+            gate=(
+                f"lane share <= {REPLAY_SHARE_CEILING}, "
+                f"time ratio <= {TIME_RATIO_CEILING}"
+            ),
             **per_epoch,
             last_recluster_lanes=last_lanes,
             last_recluster_s=last_s,
+            last_replay_s=replay_s,
             cold_recluster_lanes=cold_lanes,
             cold_recluster_s=cold_s,
             lane_ratio=share,
+            time_ratio=time_ratio,
         )
         print(
             f"\n[perf] online re-cluster at epoch {EPOCHS}: {last_lanes} lanes "
-            f"({last_s*1e3:.1f} ms) vs {cold_lanes} lanes ({cold_s*1e3:.1f} ms) "
-            f"from a cold cache — share {share:.3f}"
+            f"({last_s*1e3:.1f} ms streamed, {replay_s*1e3:.1f} ms replayed) vs "
+            f"{cold_lanes} lanes ({cold_s*1e3:.1f} ms) from a cold cache — "
+            f"share {share:.3f}, time ratio {time_ratio:.2f}"
         )
         assert share <= REPLAY_SHARE_CEILING, (
             f"the last re-cluster evaluated {last_lanes} of a cold re-cluster's "
             f"{cold_lanes} lanes ({share:.2f} > {REPLAY_SHARE_CEILING})"
+        )
+        assert time_ratio <= TIME_RATIO_CEILING, (
+            f"the last re-cluster took {replay_s*1e3:.1f} ms, {time_ratio:.2f} of a "
+            f"cold re-cluster's {cold_s*1e3:.1f} ms (> {TIME_RATIO_CEILING})"
         )

@@ -14,10 +14,11 @@ Like the profiler and the partitioner one layer down, the module is
 organized as a batched engine plus retained serial oracles:
 
 - :func:`combine_rate_rows` — the batched kernel.  The read-head
-  recurrence is inherently sequential over the ``n + 1`` grid steps, but
-  each step's interpolation and flow split vectorizes across the batch
-  axis, so ``B`` pair-combines cost one pass of length-``B`` array ops
-  per step instead of ``B`` python loops.
+  recurrence is inherently sequential over the ``n + 1`` grid steps.  A
+  wide batch vectorizes each step's interpolation and flow split across
+  the batch axis, so ``B`` pair-combines cost one pass of length-``B``
+  array ops per step; a narrow batch, where numpy's fixed cost per array
+  call would dominate, runs lane by lane in Python floats.
 - :func:`advance_flow_heads` — the K-way head-advance kernel shared with
   S-NUCA's shared-cache accounting: all ``K × B`` read heads move as one
   array per capacity step, with an all-flows-zero early exit.
@@ -51,8 +52,19 @@ __all__ = [
     "shared_cache_misses_reference",
 ]
 
+#: Batches of at most this many lanes run lane by lane in Python floats
+#: (:func:`_combine_lane`), wider ones through the vectorized step loop.
+#: On the 401-point grid (2 vCPU, numpy 2.4) a step-loop call costs
+#: about 7-12 ms up to 64 lanes, numpy's fixed cost per array op times
+#: 401 steps, and a lane about 0.3-0.4 ms, less if its flow stops early.
+#: Over every combine of a benchmark pass, crossovers 24 to 32 tie and 16
+#: or 48 cost up to 13% more; on rows whose lanes all run every step,
+#: the step loop wins from about 20 lanes.  Both loops scale with the
+#: grid width, so the crossover does not depend on it.
+_LANE_LOOP_MAX_BATCH = 24
 
-def _read(curve: np.ndarray, pos: float) -> float:
+
+def _read(curve: np.ndarray | list[float], pos: float) -> float:
     """Linearly interpolate ``curve`` at fractional index ``pos``."""
     n = len(curve) - 1
     if pos >= n:
@@ -105,6 +117,44 @@ def combine_miss_curves(a: MissCurve, b: MissCurve) -> MissCurve:
     )
 
 
+def _check_finite(*rows: np.ndarray) -> None:
+    """Reject NaN and infinite rate rows before any read head moves."""
+    for r in rows:
+        if not np.isfinite(r).all():
+            raise ValueError("rate rows must be finite (no NaN or inf)")
+
+
+def _combine_lane(r1: list[float], r2: list[float]) -> list[float]:
+    """One lane of :func:`combine_rate_rows`, in Python floats.
+
+    Bit-identical to the step loop and to :func:`combine_miss_curves`:
+    ``tolist()`` turns float64 into Python floats exactly (``-0.0``
+    included), Python float arithmetic is IEEE double, and each step is
+    the oracle's own expressions — :func:`_read`'s interpolation, the
+    flow sum and the head split.  Once the flow stops, the heads are
+    frozen and every later step would compute ``f`` again, so the rest
+    of the row is ``f``: what the step loop writes for a frozen lane.
+    A head driven below the grid raises before it is read, as
+    :func:`interp_rows` does.
+    """
+    width = len(r1)
+    out: list[float] = []
+    s1 = s2 = 0.0
+    for __ in range(width):
+        if s1 < 0 or s2 < 0:
+            raise ValueError("pos must be non-negative")
+        f1 = _read(r1, s1)
+        f2 = _read(r2, s2)
+        f = f1 + f2
+        out.append(f)
+        if not f > 0:
+            out.extend([f] * (width - len(out)))
+            break
+        s1 += f1 / f
+        s2 += f2 / f
+    return out
+
+
 def combine_rate_rows(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Batched Listing-1 recurrence over per-instruction rate rows.
 
@@ -114,16 +164,27 @@ def combine_rate_rows(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
     Returns:
         ``(B, n + 1)`` combined rate rows.  Each row is bit-identical to
-        the scalar loop in :func:`combine_miss_curves` on the same pair:
-        the per-step interpolation, flow sum, and head split are the same
-        IEEE expressions evaluated elementwise across the batch.
+        the scalar loop in :func:`combine_miss_curves` on the same pair,
+        whichever loop runs it: a batch of at most
+        ``_LANE_LOOP_MAX_BATCH`` lanes goes through :func:`_combine_lane`
+        one lane at a time, a wider one through a step loop that
+        evaluates the same IEEE expressions elementwise across the batch.
+
+    Raises:
+        ValueError: the rows differ in shape, hold a NaN or an infinity,
+            or drive a read head below the grid.
     """
     r1 = np.ascontiguousarray(r1, dtype=np.float64)
     r2 = np.ascontiguousarray(r2, dtype=np.float64)
     if r1.shape != r2.shape or r1.ndim != 2:
         raise ValueError(f"rate rows must share a (B, n+1) shape, got {r1.shape} vs {r2.shape}")
+    _check_finite(r1, r2)
     batch, width = r1.shape
     out = np.empty((batch, width), dtype=np.float64)
+    if batch <= _LANE_LOOP_MAX_BATCH:
+        for lane, (row1, row2) in enumerate(zip(r1.tolist(), r2.tolist())):
+            out[lane] = _combine_lane(row1, row2)
+        return out
     # Both operands' rows in one matrix, so each step reads all 2B heads
     # (row 0 of `heads` is s1, row 1 is s2) with a single gather.
     read = _row_reader(np.concatenate([r1, r2]))
@@ -192,7 +253,12 @@ def advance_flow_heads(
     Returns:
         ``(K * B,)`` final head positions.  Lanes whose total flow hits
         zero freeze (all-flows-zero early exit once every lane is done).
+
+    Raises:
+        ValueError: a rate row holds a NaN or an infinity, or a head is
+            driven below the grid.
     """
+    _check_finite(rates_flat)
     n_streams, batch = included.shape
     heads = np.zeros(n_streams * batch)
     active = included.any(axis=0)

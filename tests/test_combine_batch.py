@@ -1,7 +1,8 @@
 """Differential tests: batched combine engine vs the serial oracles.
 
 The batched kernels replay the serial loops' IEEE expressions
-elementwise across the batch axis, so every comparison here is *exact*
+elementwise across the batch axis (or, for narrow combine batches, lane
+by lane in Python floats), so every comparison here is *exact*
 (``np.array_equal`` / ``==``), not approximate — the same contract the
 stack-distance and partitioning engines are held to.
 """
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.curves import MissCurve
+from repro.curves import MissCurve, combine
 from repro.curves.combine import (
+    _LANE_LOOP_MAX_BATCH,
     _read,
     advance_flow_heads,
     combine_many,
@@ -182,6 +184,16 @@ def listing1_rows(r1, r2):
     return out
 
 
+#: One batch size on each side of ``combine_rate_rows``' crossover: the
+#: first runs lane by lane, the second runs the vectorized step loop.
+BOTH_LOOPS = (1, _LANE_LOOP_MAX_BATCH + 1)
+
+
+def _tiled(rows, lanes):
+    """``rows`` repeated whole until there are at least ``lanes`` of them."""
+    return np.tile(rows, (-(-lanes // len(rows)), 1))
+
+
 def flow_heads_scalar(rates_flat, included, steps):
     """:func:`shared_cache_misses_reference`'s head loop, lane by lane."""
     n_streams, batch = included.shape
@@ -209,10 +221,11 @@ class TestRateRowKernels:
         assert heads.shape == (0,)
 
     def test_single_column_grid(self):
-        r1 = np.array([[2.0], [0.0], [0.5]])
-        r2 = np.array([[1.0], [0.0], [0.0]])
-        got = combine_rate_rows(r1, r2)
-        assert got.tobytes() == listing1_rows(r1, r2).tobytes()
+        for lanes in BOTH_LOOPS:
+            r1 = _tiled(np.array([[2.0], [0.0], [0.5]]), lanes)
+            r2 = _tiled(np.array([[1.0], [0.0], [0.0]]), lanes)
+            got = combine_rate_rows(r1, r2)
+            assert got.tobytes() == listing1_rows(r1, r2).tobytes()
         rates = np.array([[2.0], [0.0], [1.0], [0.0]])
         included = np.ones((2, 2), dtype=bool)
         got = advance_flow_heads(rates, included, 3)
@@ -220,14 +233,22 @@ class TestRateRowKernels:
 
     def test_lanes_freeze_at_different_steps(self):
         # Each lane's flow reaches zero once both heads pass its last
-        # nonzero rate, at a different step per lane.
+        # nonzero rate, at a different step per lane.  Two more lanes
+        # stop at the first step, on a flow of -0.0 and of -0.5, which a
+        # frozen lane repeats to the end of its row.
         rows = np.array(
             [np.maximum(c - np.arange(12.0), 0.0) for c in (1.0, 2.0, 4.0, 0.0)]
         )
-        got = combine_rate_rows(rows, rows)
-        assert got.tobytes() == listing1_rows(rows, rows).tobytes()
-        frozen_at = [int(np.flatnonzero(r == 0.0)[0]) for r in got]
-        assert sorted(frozen_at) == [0, 2, 4, 8]
+        r1 = np.concatenate([rows, [np.full(12, -0.0), np.full(12, -1.0)]])
+        r2 = np.concatenate([rows, [np.full(12, -0.0), np.full(12, 0.5)]])
+        for lanes in BOTH_LOOPS:
+            t1, t2 = _tiled(r1, lanes), _tiled(r2, lanes)
+            got = combine_rate_rows(t1, t2)
+            assert got.tobytes() == listing1_rows(t1, t2).tobytes()
+            frozen_at = [int(np.flatnonzero(r == 0.0)[0]) for r in got[:4]]
+            assert sorted(frozen_at) == [0, 2, 4, 8]
+            assert got[4].tobytes() == np.full(12, -0.0).tobytes()
+            assert (got[5] == -0.5).all()
         rates = np.concatenate([rows, rows[::-1]])
         included = np.ones((2, 4), dtype=bool)
         for steps in (0, 1, 5, 40):
@@ -246,12 +267,60 @@ class TestRateRowKernels:
         assert (got > 3).all()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(real_row, real_row), min_size=1, max_size=4))
-    def test_wide_rows_bit_identical_to_scalar(self, pairs):
-        r1 = np.array([a for a, __ in pairs])
-        r2 = np.array([b for __, b in pairs])
+    @given(
+        st.lists(st.tuples(real_row, real_row), min_size=1, max_size=4),
+        st.one_of(
+            st.integers(1, _LANE_LOOP_MAX_BATCH),
+            st.integers(_LANE_LOOP_MAX_BATCH + 1, _LANE_LOOP_MAX_BATCH + 8),
+        ),
+    )
+    def test_wide_rows_bit_identical_to_scalar(self, pairs, batch):
+        # Batch sizes from each side of the crossover about equally often
+        # (plain integers would mostly be small).  Lanes cycle through the
+        # drawn pairs, so a batch does not draw 32 rows per example.
+        lanes = [pairs[i % len(pairs)] for i in range(batch)]
+        r1 = np.array([a for a, __ in lanes])
+        r2 = np.array([b for __, b in lanes])
         got = combine_rate_rows(r1, r2)
         assert got.tobytes() == listing1_rows(r1, r2).tobytes()
+
+    def test_batch_size_picks_the_loop(self, monkeypatch):
+        # The tests here run each case on both sides of the crossover;
+        # this pins which loop each side reaches.
+        lane_calls = []
+        lane = combine._combine_lane
+
+        def counting_lane(r1, r2):
+            lane_calls.append(len(r1))
+            return lane(r1, r2)
+
+        monkeypatch.setattr(combine, "_combine_lane", counting_lane)
+        rows = np.linspace(1.0, 0.25, 7)
+        for batch, want in (
+            (_LANE_LOOP_MAX_BATCH, _LANE_LOOP_MAX_BATCH),
+            (_LANE_LOOP_MAX_BATCH + 1, 0),
+        ):
+            lane_calls.clear()
+            r1 = np.tile(rows, (batch, 1))
+            got = combine_rate_rows(r1, r1[:, ::-1])
+            assert got.tobytes() == listing1_rows(r1, r1[:, ::-1]).tobytes()
+            assert len(lane_calls) == want
+
+    def test_non_finite_rows_raise(self):
+        # Checked once per call, before either loop reads a row: NaN or
+        # infinite rates would otherwise poison or overflow a read head.
+        for lanes in BOTH_LOOPS:
+            for bad in (np.nan, np.inf, -np.inf):
+                good = np.tile(np.linspace(1.0, 0.25, 9), (lanes, 1))
+                poisoned = good.copy()
+                poisoned[-1] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    combine_rate_rows(poisoned, good)
+                with pytest.raises(ValueError, match="finite"):
+                    combine_rate_rows(good, poisoned)
+                included = np.ones((2, lanes), dtype=bool)
+                with pytest.raises(ValueError, match="finite"):
+                    advance_flow_heads(np.concatenate([good, poisoned]), included, 8)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -277,8 +346,9 @@ class TestRateRowKernels:
         # the grid, which interp_rows rejects.
         r1 = np.array([[-1.0, -1.0, -1.0]])
         r2 = np.array([[3.0, 3.0, 3.0]])
-        with pytest.raises(ValueError, match="non-negative"):
-            combine_rate_rows(r1, r2)
+        for lanes in BOTH_LOOPS:
+            with pytest.raises(ValueError, match="non-negative"):
+                combine_rate_rows(_tiled(r1, lanes), _tiled(r2, lanes))
         with pytest.raises(ValueError, match="non-negative"):
             advance_flow_heads(np.concatenate([r1, r2]), np.ones((2, 1), dtype=bool), 3)
 
