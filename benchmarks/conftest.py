@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# Perf smokes time fast paths against the test-side oracles (tests/oracles).
+sys.path.append(str(Path(__file__).parents[1] / "tests"))
 
 from repro.nuca import four_core_config, sixteen_core_config  # noqa: E402
 

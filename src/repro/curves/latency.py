@@ -55,7 +55,7 @@ class LatencyModel:
 
 def latency_curve(
     curve: MissCurve,
-    avg_hops: HopsFn,
+    avg_hops: HopsFn | None,
     model: LatencyModel,
     bypassable: bool = False,
     hops: np.ndarray | None = None,
@@ -66,15 +66,17 @@ def latency_curve(
         curve: the VC's miss curve for the interval.
         avg_hops: reach function — average one-way hops to the closest
             banks covering a given size (from :mod:`repro.nuca.geometry`).
+            Unused, and may be None, when ``hops`` is given.
         model: latency parameters.
         bypassable: if True, the size-0 point models *bypassing*: accesses
             skip the LLC entirely, paying only the memory penalty (this is
             the paper's one-line change that makes the partitioner choose
             bypassing exactly when it wins, Sec 3.2/3.3).
-        hops: precomputed ``avg_hops`` values on the curve's size grid.
-            The reach function is pure, so callers stepping many
-            intervals on one grid (e.g. Jigsaw) can evaluate it once and
-            reuse the vector.
+        hops: precomputed ``avg_hops`` values on the curve's size grid,
+            e.g. from :meth:`~repro.nuca.geometry.MeshGeometry.reach_curve`.
+            The reach curve is pure, so callers stepping many intervals
+            on one grid (e.g. Jigsaw) can evaluate it once and reuse the
+            vector.
 
     Returns:
         float array, ``stalls[i]`` = data-stall cycles per instruction at

@@ -70,9 +70,8 @@ class MeshGeometry:
     ) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if n_cores < 1 or n_cores % 4 not in (0, 1, 2):
-            # 1, 2, 4, 8, 12, 16... we only require <= 4*dim placeable.
-            pass
+        if n_cores < 1:
+            raise ValueError(f"n_cores must be >= 1, got {n_cores}")
         self.dim = dim
         self.n_cores = n_cores
         self.bank_bytes = bank_bytes
@@ -82,6 +81,11 @@ class MeshGeometry:
         self._bank_rows = rows
         self._bank_cols = cols
         self.core_entries = self._place_cores(dim, n_cores)
+        if len(set(self.core_entries)) < n_cores:
+            raise ValueError(
+                f"{n_cores} cores do not fit on distinct perimeter tiles "
+                f"of a {dim}x{dim} mesh"
+            )
         corners = [(0, 0), (0, dim - 1), (dim - 1, 0), (dim - 1, dim - 1)]
         if not 1 <= n_mcus <= 4:
             raise ValueError(f"n_mcus must be in [1, 4], got {n_mcus}")
@@ -185,6 +189,48 @@ class MeshGeometry:
             dist_sum += self._sorted_dist[core][n_full] * frac_bytes
         return float(dist_sum / min(size_bytes, self.total_bytes))
 
+    def reach_curve(self, core: int, sizes_bytes) -> np.ndarray:
+        """:meth:`reach_avg_hops` over a whole size grid, as one array.
+
+        Bit-identical to ``[reach_avg_hops(core, s) for s in sizes_bytes]``:
+        each element takes the scalar's IEEE operations, on the same
+        operands and in the same order.  ``n_full`` is
+        ``size // bank_bytes`` capped at ``n_banks``; the full banks add
+        ``cumdist[n_full - 1] * bank_bytes`` (0.0 when there are none);
+        the partial bank adds ``sorted_dist[n_full] * frac`` only where
+        ``frac > 0`` and a bank is left; the sum is divided by the size
+        capped at ``total_bytes``.  Sizes ≤ 0 take the closest bank's
+        distance, and NaN or +inf sizes raise ``ValueError``, as in the
+        scalar.
+        """
+        return self._reach_over(
+            self._sorted_dist[core], self._reach_cumdist[core], sizes_bytes
+        )
+
+    def _reach_over(
+        self, sorted_dist: np.ndarray, cumdist: np.ndarray, sizes_bytes
+    ) -> np.ndarray:
+        """The :meth:`reach_curve` formula over any sorted distance row.
+
+        Masked-out lanes compute throwaway values from clipped indices
+        and a unit divisor; ``np.where`` discards them.
+        """
+        sizes = np.asarray(sizes_bytes, dtype=np.float64)
+        if not (sizes < np.inf).all():
+            raise ValueError("reach sizes must not be NaN or +inf")
+        positive = sizes > 0
+        n_full = np.where(positive, sizes, 0.0) // self.bank_bytes
+        n_full = np.minimum(n_full, self.n_banks).astype(np.intp)
+        capped = np.where(positive, np.minimum(sizes, self.total_bytes), 1.0)
+        frac = capped - n_full * self.bank_bytes
+        dist_sum = np.where(
+            n_full > 0, cumdist[n_full - 1] * self.bank_bytes, 0.0
+        )
+        partial = (frac > 0) & (n_full < self.n_banks)
+        tail = sorted_dist[np.minimum(n_full, self.n_banks - 1)] * frac
+        dist_sum = np.where(partial, dist_sum + tail, dist_sum)
+        return np.where(positive, dist_sum / capped, sorted_dist[0])
+
     def reach_fn(self, core: int):
         """The reach curve as a callable ``size_bytes -> avg hops``."""
         return lambda size_bytes: self.reach_avg_hops(core, size_bytes)
@@ -229,31 +275,24 @@ class MeshGeometry:
             remaining -= take
         return placement
 
-    def central_reach_fn(self, accessing_cores: list[int] | None = None):
-        """Reach function for a centrally-placed shared VC.
+    def central_reach_curve(
+        self, sizes_bytes, accessing_cores: list[int] | None = None
+    ) -> np.ndarray:
+        """Reach curve of a centrally-placed shared VC, over a size grid.
 
-        Returns average one-way hops from the accessing cores (default:
-        all cores) to the closest-to-center banks covering a size.
+        Average one-way hops from the accessing cores (default: all
+        cores) to the closest-to-center banks covering each size: the
+        :meth:`reach_curve` formula over the accessing cores' mean
+        distance row, taken in center-distance order.
         """
         cores = accessing_cores or list(range(self.n_cores))
         dist = self.distances_from_tile(self.center_tile)
         order = np.argsort(dist, kind="stable")
         core_dist = np.mean([self._dist[c] for c in cores], axis=0)
         sorted_core_dist = core_dist[order]
-        cum = np.cumsum(sorted_core_dist)
-
-        def reach(size_bytes: float) -> float:
-            if size_bytes <= 0:
-                return float(sorted_core_dist[0])
-            n_full = min(int(size_bytes // self.bank_bytes), self.n_banks)
-            used = n_full * self.bank_bytes
-            frac = min(size_bytes, self.total_bytes) - used
-            total = (cum[n_full - 1] * self.bank_bytes) if n_full > 0 else 0.0
-            if frac > 0 and n_full < self.n_banks:
-                total += sorted_core_dist[n_full] * frac
-            return float(total / min(size_bytes, self.total_bytes))
-
-        return reach
+        return self._reach_over(
+            sorted_core_dist, np.cumsum(sorted_core_dist), sizes_bytes
+        )
 
     def centroid_core(self, weights: dict[int, float]) -> int:
         """The core whose entry is closest to the weighted core centroid.

@@ -74,8 +74,9 @@ class JigsawScheme(Scheme):
         key = (owner_core, curve.chunk_bytes, curve.n_chunks)
         hops = self._reach_cache.get(key)
         if hops is None:
-            reach = self.config.geometry.reach_fn(owner_core)
-            hops = np.array([reach(s) for s in curve.sizes_bytes()])
+            hops = self.config.geometry.reach_curve(
+                owner_core, curve.sizes_bytes()
+            )
             self._reach_cache[key] = hops
         return hops
 
@@ -102,7 +103,7 @@ class JigsawScheme(Scheme):
                 model = cfg.latency_for_core(spec.owner_core)
                 stalls = latency_curve(
                     curve,
-                    geo.reach_fn(spec.owner_core),
+                    None,
                     model,
                     bypassable=self.bypass and spec.bypassable,
                     hops=self._reach_vector(spec.owner_core, curve),

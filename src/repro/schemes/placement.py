@@ -10,8 +10,6 @@ units between VCs whenever the swap reduces total data movement
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nuca.geometry import MeshGeometry, Placement
 
 __all__ = ["greedy_placement", "trading_placement"]
@@ -35,7 +33,7 @@ def greedy_placement(
         vc id -> :class:`Placement`.  VCs with zero size get empty
         placements.
     """
-    bank_free = np.full(geometry.n_banks, float(geometry.bank_bytes))
+    bank_free = [float(geometry.bank_bytes)] * geometry.n_banks
     placements: dict[int, Placement] = {vc: Placement() for vc in demands}
 
     def intensity(item) -> float:
@@ -46,12 +44,12 @@ def greedy_placement(
         demands.items(), key=intensity, reverse=True
     ):
         remaining = size
-        for bank in geometry.closest_banks(core):
+        for bank in geometry.closest_banks(core).tolist():
             if remaining <= 0:
                 break
             take = min(remaining, bank_free[bank])
             if take > 0:
-                placements[vc].add(int(bank), float(take))
+                placements[vc].add(bank, float(take))
                 bank_free[bank] -= take
                 remaining -= take
     return placements
@@ -68,6 +66,14 @@ def trading_placement(
     one unit of VC A from bank i to bank j and one unit of VC B from j to
     i; it is accepted when it reduces total data movement:
     ``I_A (d_A(i) - d_A(j)) + I_B (d_B(j) - d_B(i)) > 0``.
+
+    The swap search reads distances from Python lists, not numpy arrays:
+    a pair has only about 15 candidate swaps, too few to pay numpy's cost
+    per call, and indexing an array boxes a numpy scalar per read.
+    ``tolist()`` converts exactly and Python floats do the same IEEE
+    double operations, so banks are visited in ``bank_bytes`` order, the
+    first pair to beat the running best (from ``1e-9``, strict ``>``)
+    wins, and the same swaps happen in the same order.
     """
     placements = greedy_placement(geometry, demands)
     vcs = [vc for vc, (__, size, ___) in demands.items() if size > 0]
@@ -76,7 +82,7 @@ def trading_placement(
     intensities = {
         vc: demands[vc][2] / max(demands[vc][1], 1.0) for vc in vcs
     }
-    dist = {vc: geometry.distances(demands[vc][0]) for vc in vcs}
+    dist = {vc: geometry.distances(demands[vc][0]).tolist() for vc in vcs}
 
     for __ in range(max_passes):
         improved = False
@@ -94,8 +100,9 @@ def trading_placement(
                 best_gain = 1e-9
                 best_pair = None
                 for i in banks_a:
+                    dai, dbi = da[i], db[i]
                     for j in banks_b:
-                        gain = ia * (da[i] - da[j]) + ib * (db[j] - db[i])
+                        gain = ia * (dai - da[j]) + ib * (db[j] - dbi)
                         if gain > best_gain:
                             best_gain = gain
                             best_pair = (i, j)

@@ -187,18 +187,20 @@ def evaluate_parallel(
         cost = []
         for vc in vc_list:
             owner, members = vcs[vc]
+            sizes_bytes = vc_curve[vc].sizes_bytes()
             if vc == -1:
                 # Shared process VC: its latency-minimizing home is the
                 # mesh center, reached from every accessing core.
-                reach = geo.central_reach_fn()
+                reach = geo.central_reach_curve(sizes_bytes)
             else:
-                reach = geo.reach_fn(owner)
+                reach = geo.reach_curve(owner, sizes_bytes)
             cost.append(
                 latency_curve(
                     vc_curve[vc],
-                    reach,
+                    None,
                     config.latency_for_core(owner),
                     bypassable=False,
+                    hops=reach,
                 )
             )
         chunks, __ = partition_cost_curves(

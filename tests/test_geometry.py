@@ -2,8 +2,61 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nuca import MeshGeometry, Placement
+from repro.nuca import MeshGeometry, Placement, four_core_config, sixteen_core_config
+
+#: Both shipped meshes, plus one whose bank size no grid chunk divides.
+REACH_MESHES = [
+    four_core_config().geometry,
+    sixteen_core_config().geometry,
+    MeshGeometry(dim=5, n_cores=4, bank_bytes=1000),
+]
+
+
+def central_reach_fn(geo, accessing_cores=None):
+    """Scalar central reach, one size per call: the oracle for ``central_reach_curve``."""
+    cores = accessing_cores or list(range(geo.n_cores))
+    order = np.argsort(geo.distances_from_tile(geo.center_tile), kind="stable")
+    core_dist = np.mean([geo.distances(c) for c in cores], axis=0)
+    sorted_core_dist = core_dist[order]
+    cum = np.cumsum(sorted_core_dist)
+
+    def reach(size_bytes):
+        if size_bytes <= 0:
+            return float(sorted_core_dist[0])
+        n_full = min(int(size_bytes // geo.bank_bytes), geo.n_banks)
+        used = n_full * geo.bank_bytes
+        frac = min(size_bytes, geo.total_bytes) - used
+        total = (cum[n_full - 1] * geo.bank_bytes) if n_full > 0 else 0.0
+        if frac > 0 and n_full < geo.n_banks:
+            total += sorted_core_dist[n_full] * frac
+        return float(total / min(size_bytes, geo.total_bytes))
+
+    return reach
+
+
+@st.composite
+def reach_cases(draw):
+    """A mesh and a size grid mixing every branch of the reach formula.
+
+    Zero and negative sizes, fractions of a bank, exact bank multiples,
+    sizes past ``total_bytes``, and Python ints as well as floats.
+    """
+    geo = draw(st.sampled_from(REACH_MESHES))
+    bank, total = geo.bank_bytes, geo.total_bytes
+    size = st.one_of(
+        st.sampled_from([0, 0.0, -0.0, 1, bank - 1, bank, total, 3.5 * total]),
+        st.floats(-2.0 * bank, 0.0),
+        st.integers(0, 2 * geo.n_banks).map(lambda k: k * bank),
+        st.tuples(
+            st.integers(0, geo.n_banks), st.floats(0, 1, exclude_min=True, exclude_max=True)
+        ).map(lambda t: (t[0] + t[1]) * bank),
+        st.floats(0, 4.0 * total),
+        st.integers(-bank, 2 * total),
+    )
+    return geo, draw(st.lists(size, min_size=1, max_size=80))
 
 
 class TestMeshBasics:
@@ -29,6 +82,19 @@ class TestMeshBasics:
         assert len(set(entries)) == 4
         # First core on the west edge (col 0), mid-row — where dt runs.
         assert entries[0] == (2, 0)
+
+    @pytest.mark.parametrize("n_cores", [0, -3])
+    def test_invalid_core_count(self, n_cores):
+        with pytest.raises(ValueError, match="n_cores"):
+            MeshGeometry(dim=5, n_cores=n_cores)
+
+    @pytest.mark.parametrize(
+        "dim, n_cores", [(5, 16), (3, 8), (5, 24), (2, 4), (1, 2)]
+    )
+    def test_shared_entry_tiles_rejected(self, dim, n_cores):
+        """Sides that need as many entry tiles as the mesh is wide collide."""
+        with pytest.raises(ValueError, match="distinct"):
+            MeshGeometry(dim=dim, n_cores=n_cores)
 
     def test_sixteen_cores_distinct(self):
         geo = MeshGeometry(dim=9, n_cores=16)
@@ -99,6 +165,49 @@ class TestReach:
         geo = MeshGeometry(dim=5, n_cores=4)
         fn = geo.reach_fn(1)
         assert fn(2 * 512 * 1024) == geo.reach_avg_hops(1, 2 * 512 * 1024)
+
+    @settings(max_examples=80, deadline=None)
+    @given(reach_cases())
+    def test_reach_curve_bytes_match_scalar(self, case):
+        geo, sizes = case
+        for core in range(geo.n_cores):
+            want = np.array([geo.reach_avg_hops(core, s) for s in sizes])
+            assert geo.reach_curve(core, sizes).tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(reach_cases(), st.data())
+    def test_central_reach_curve_bytes_match_closure(self, case, data):
+        geo, sizes = case
+        cores = data.draw(
+            st.none()
+            | st.lists(st.integers(0, geo.n_cores - 1), max_size=geo.n_cores, unique=True),
+            label="accessing_cores",
+        )
+        want = np.array([central_reach_fn(geo, cores)(s) for s in sizes])
+        assert geo.central_reach_curve(sizes, cores).tobytes() == want.tobytes()
+
+    def test_reach_curve_on_grids(self):
+        """The grids Jigsaw and Fig 13 evaluate, every core of both meshes."""
+        for geo in REACH_MESHES[:2]:
+            for n, chunk in [(401, 64 * 1024), (1297, 32 * 1024), (3000, 1000.5)]:
+                sizes = np.arange(n) * float(chunk)
+                for core in range(geo.n_cores):
+                    want = np.array([geo.reach_avg_hops(core, s) for s in sizes])
+                    assert geo.reach_curve(core, sizes).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_reach_curve_rejects_what_the_scalar_rejects(self, bad):
+        geo = MeshGeometry(dim=5, n_cores=4)
+        with pytest.raises(ValueError):
+            geo.reach_avg_hops(0, bad)
+        with pytest.raises(ValueError, match="NaN"):
+            geo.reach_curve(0, [0.0, bad])
+
+    def test_reach_curve_minus_inf_is_closest_bank(self):
+        geo = MeshGeometry(dim=5, n_cores=4)
+        with np.errstate(all="raise"):
+            got = geo.reach_curve(0, [-np.inf])
+        assert got.tolist() == [geo.reach_avg_hops(0, -np.inf)]
 
 
 class TestPlacement:

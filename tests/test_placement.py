@@ -1,11 +1,43 @@
 """Unit tests for greedy + trading placement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.placement import (
+    greedy_placement_reference,
+    trading_placement_reference,
+)
 
-from repro.nuca import MeshGeometry
+from repro.nuca import MeshGeometry, four_core_config, sixteen_core_config
 from repro.schemes import greedy_placement, trading_placement
+from repro.schemes.placement import PLACE_CHUNK
 
 BANK = 512 * 1024
+SHIPPED_MESHES = [four_core_config().geometry, sixteen_core_config().geometry]
+
+
+@st.composite
+def demand_sets(draw):
+    """A mesh and 1-40 VC demands, several per core, some empty.
+
+    Sizes are whole 64 KB units, up to about twice an even share of the
+    LLC.  Integer intensities (accesses = m x size) tie many swap gains,
+    so the order banks are visited in and the strict ``>`` both matter.
+    """
+    geo = draw(st.sampled_from(SHIPPED_MESHES))
+    n_vcs = draw(st.integers(1, 40))
+    units = geo.total_bytes // PLACE_CHUNK
+    tied = draw(st.booleans())
+    demands = {}
+    for vc in range(n_vcs):
+        core = draw(st.integers(0, geo.n_cores - 1))
+        size = float(draw(st.integers(0, max(1, 2 * units // n_vcs))) * PLACE_CHUNK)
+        if tied:
+            accesses = float(draw(st.integers(1, 3))) * size
+        else:
+            accesses = draw(st.floats(0, 1e6, allow_nan=False))
+        demands[vc] = (core, size, accesses)
+    return geo, demands
 
 
 @pytest.fixture
@@ -95,3 +127,19 @@ class TestTrading:
         # Each VC should sit far closer to its own core than S-NUCA would.
         assert h0 < geo.snuca_avg_hops(0)
         assert h1 < geo.snuca_avg_hops(2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(demand_sets())
+    def test_matches_numpy_scalar_oracle(self, case):
+        """Same banks, in the same order, with the same bytes, for every VC."""
+        geo, demands = case
+        for fast, ref in [
+            (greedy_placement, greedy_placement_reference),
+            (trading_placement, trading_placement_reference),
+        ]:
+            got, want = fast(geo, demands), ref(geo, demands)
+            assert list(got) == list(want)
+            for vc in demands:
+                assert list(got[vc].bank_bytes.items()) == list(
+                    want[vc].bank_bytes.items()
+                )
