@@ -219,7 +219,7 @@ class StreamingProfile:
 
         # Locally-hot distances from the chunk alone.
         prev = _prev_occurrence(g_lines, g_regions)
-        dist = _distances_from_prev(prev, base)
+        dist = _distances_from_prev(prev)
         cold_local = prev < 0
         # A: distinct lines touched earlier in the same chunk segment.
         excl = np.cumsum(cold_local) - cold_local

@@ -108,13 +108,12 @@ class MeshGeometry:
         """
         per_side = (n_cores + 3) // 4
         # Offsets along a side, centered (e.g. dim=5, 1/side -> [2];
-        # dim=9, 4/side -> [1, 3, 5, 7]).
-        if per_side == 1:
-            offsets = [dim // 2]
-        else:
-            step = dim // per_side
-            start = (dim - step * (per_side - 1) - 1) // 2
-            offsets = [start + i * step for i in range(per_side)]
+        # dim=9, 4/side -> [1, 3, 5, 7]).  Offsets that reach a corner,
+        # which two sides share, are centered on the side's interior
+        # tiles instead when it has room for them.
+        offsets = MeshGeometry._side_offsets(0, dim, per_side)
+        if (offsets[0] == 0 or offsets[-1] == dim - 1) and per_side <= dim - 2:
+            offsets = MeshGeometry._side_offsets(1, dim - 2, per_side)
         west = [(o, 0) for o in offsets]
         north = [(0, o) for o in offsets]
         east = [(o, dim - 1) for o in offsets]
@@ -124,6 +123,15 @@ class MeshGeometry:
         for i in range(n_cores):
             entries.append(sides[i % 4][i // 4])
         return entries
+
+    @staticmethod
+    def _side_offsets(first: int, length: int, per_side: int) -> list[int]:
+        """``per_side`` offsets spread evenly over ``length`` tiles from ``first``."""
+        if per_side == 1:
+            return [first + length // 2]
+        step = length // per_side
+        start = (length - step * (per_side - 1) - 1) // 2
+        return [first + start + i * step for i in range(per_side)]
 
     def _distances_from(self, entry: tuple[int, int]) -> np.ndarray:
         """Manhattan hops from an entry tile to every bank."""

@@ -94,11 +94,12 @@ def relabel_regions(
     Ids missing from the mapping fall into VC 0 — the convention both
     the in-memory path (:func:`profile_vcs`) and the streaming path
     (:meth:`repro.ingest.stream.StreamingStackProfiler.profile_source`)
-    share.
+    share.  So a mapping onto VC 0 alone (the single-VC layout) needs
+    no lookup.
     """
     regions = np.asarray(regions)
     out = np.zeros(len(regions), dtype=np.int32)
-    if not mapping or not len(regions):
+    if not any(mapping.values()) or not len(regions):
         return out
     bits, probes, table, vcs = _slot_table(mapping, regions.dtype)
     shift = np.uint32(32 - bits)

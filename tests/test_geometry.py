@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nuca import MeshGeometry, Placement, four_core_config, sixteen_core_config
+from repro.sim.sweep import vary_config
 
 #: Both shipped meshes, plus one whose bank size no grid chunk divides.
 REACH_MESHES = [
@@ -13,6 +14,24 @@ REACH_MESHES = [
     sixteen_core_config().geometry,
     MeshGeometry(dim=5, n_cores=4, bank_bytes=1000),
 ]
+
+
+def centered_core_entries(dim, n_cores):
+    """Entry tiles with offsets centered on the whole side, corners included."""
+    per_side = (n_cores + 3) // 4
+    if per_side == 1:
+        offsets = [dim // 2]
+    else:
+        step = dim // per_side
+        start = (dim - step * (per_side - 1) - 1) // 2
+        offsets = [start + i * step for i in range(per_side)]
+    sides = [
+        [(o, 0) for o in offsets],
+        [(0, o) for o in offsets],
+        [(o, dim - 1) for o in offsets],
+        [(dim - 1, o) for o in offsets],
+    ]
+    return [sides[i % 4][i // 4] for i in range(n_cores)]
 
 
 def central_reach_fn(geo, accessing_cores=None):
@@ -95,6 +114,31 @@ class TestMeshBasics:
         """Sides that need as many entry tiles as the mesh is wide collide."""
         with pytest.raises(ValueError, match="distinct"):
             MeshGeometry(dim=dim, n_cores=n_cores)
+
+    def test_layouts_that_fit_keep_their_tiles(self):
+        """Every layout the plain centering accepts is unchanged."""
+        for dim in range(1, 13):
+            for n_cores in range(1, 49):
+                want = centered_core_entries(dim, n_cores)
+                if len(set(want)) == n_cores:
+                    assert MeshGeometry(dim, n_cores).core_entries == want
+
+    @pytest.mark.parametrize(
+        "dim, n_cores",
+        [(dim, 2 * dim - 3 + k) for dim in (4, 6, 8, 10, 12) for k in range(4)],
+    )
+    def test_cores_off_a_shared_corner(self, dim, n_cores):
+        """Offsets reaching a corner move onto the side's interior tiles."""
+        assert len(set(centered_core_entries(dim, n_cores))) < n_cores
+        entries = MeshGeometry(dim, n_cores).core_entries
+        assert len(set(entries)) == n_cores
+        for r, c in entries:
+            assert r in (0, dim - 1) or c in (0, dim - 1)
+
+    def test_sixteen_cores_on_an_eight_by_eight_mesh(self):
+        config = vary_config(sixteen_core_config(), "mesh_dim", 8)
+        assert config.geometry.dim == 8
+        assert len(set(config.geometry.core_entries)) == 16
 
     def test_sixteen_cores_distinct(self):
         geo = MeshGeometry(dim=9, n_cores=16)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.curves.reuse import StackDistanceProfiler
+from repro.curves.reuse import _BITMAP_MIN, StackDistanceProfiler
+from repro.ingest import stream
 from repro.ingest import (
     ArraySource,
     IterableSource,
@@ -95,6 +96,35 @@ class TestStreamingEqualsInMemory:
         lines = rng.integers(0, 2000, n).astype(np.int64)
         regions = rng.integers(0, 6, n).astype(np.int32)
         run_both(lines, regions, n * 5.0, n_intervals=4, chunk=97, shift=0)
+
+    def test_chunks_past_the_bitmap_crossover(self, monkeypatch):
+        """Chunk sweeps and carried-line counts big enough for bitmaps."""
+        sizes = {"chunk": [], "carried": []}
+
+        def spy(kind, fn, size):
+            def wrapped(*args):
+                sizes[kind].append(size(*args))
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            stream,
+            "_distances_from_prev",
+            spy("chunk", stream._distances_from_prev, lambda p: int((p >= 0).sum())),
+        )
+        monkeypatch.setattr(
+            stream,
+            "_dominance_counts",
+            spy("carried", stream._dominance_counts, lambda k, o: len(k)),
+        )
+        rng = np.random.default_rng(13)
+        n = 150_000
+        lines = rng.integers(0, 30_000, n).astype(np.int64)
+        regions = np.zeros(n, dtype=np.int32)
+        run_both(lines, regions, n * 5.0, n_intervals=6, chunk=50_000, shift=0)
+        assert max(sizes["chunk"]) >= _BITMAP_MIN
+        assert max(sizes["carried"]) >= _BITMAP_MIN
 
     def test_chunk_size_one(self):
         rng = np.random.default_rng(2)

@@ -483,6 +483,25 @@ class TestRelabel:
         assert np.array_equal(vcs, want)
         assert not vcs[~np.isin(regions, list(mapping))].any()
 
+    def test_single_vc_mapping_needs_no_table(self, monkeypatch):
+        """A mapping onto VC 0 alone returns the table path's zeros at once."""
+        rng = np.random.default_rng(5)
+        ids = np.array([0, 7, 2**31 - 2, 2**31 - 1], dtype=np.int32)
+        regions = rng.choice(ids, size=100_000).astype(np.int32)
+        # 12345 and 2^31 - 3 are absent from the trace; 7 and 2^31 - 2 unmapped.
+        mapping = {0: 0, 2**31 - 1: 0, 12345: 0, 2**31 - 3: 0}
+        # One more mapped id, absent from the trace, forces the table path.
+        table = profiling.relabel_regions(regions, {**mapping, 99: 1})
+
+        def no_table(*args):
+            raise AssertionError("the single-VC layout built a slot table")
+
+        monkeypatch.setattr(profiling, "_slot_table", no_table)
+        got = profiling.relabel_regions(regions, mapping)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, table)
+        assert not got.any()
+
     @settings(max_examples=60, deadline=None)
     @given(
         ids=st.lists(

@@ -1,17 +1,27 @@
 """Unit tests for stack-distance profiling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles.reuse import distances_from_prev_reference
 from repro.curves import (
     StackDistanceProfiler,
     miss_curve_from_distances,
+    reuse,
     stack_distances,
     stack_distances_reference,
 )
-from repro.curves.reuse import COLD, _group_by_region, _prev_occurrence
+from repro.curves.reuse import (
+    _BITMAP_MIN,
+    COLD,
+    _distances_from_prev,
+    _group_by_region,
+    _prev_occurrence,
+)
 
 
 def brute_force_distances(lines):
@@ -25,6 +35,78 @@ def brute_force_distances(lines):
             out.append(COLD)
         last[addr] = i
     return np.array(out, dtype=np.int64)
+
+
+def profile_per_cell(prof, lines, regions, instructions, n_intervals):
+    """The pre-vectorization profiler: one curve per (region, interval).
+
+    Each region's sampled stream gets Fenwick distances; each interval's
+    window is finalized by ``miss_curve_from_distances``, then rescaled
+    to the unsampled access count.
+    """
+    n = len(lines)
+    scale = float(1 << prof.sample_shift)
+    bounds = np.linspace(0, n, n_intervals + 1).astype(np.int64)
+    out = {}
+    for rid in np.unique(regions).tolist():
+        idx = np.nonzero(regions == rid)[0]
+        keep = prof._sample_mask(lines[idx])
+        kept_idx = idx[keep]
+        dist = stack_distances_reference(lines[idx][keep])
+        curves = []
+        for t in range(n_intervals):
+            lo, hi = bounds[t], bounds[t + 1]
+            window = (kept_idx >= lo) & (kept_idx < hi)
+            n_acc = int(np.count_nonzero((idx >= lo) & (idx < hi)))
+            curve = miss_curve_from_distances(
+                dist[window],
+                chunk_bytes=prof.chunk_bytes,
+                n_chunks=prof.n_chunks,
+                instructions=instructions / n_intervals,
+                line_bytes=prof.line_bytes,
+                scale=scale,
+                distance_scale=scale,
+            )
+            if curve.accesses > 0:
+                misses = curve.misses * (n_acc / curve.accesses)
+            else:
+                misses = np.full(prof.n_chunks + 1, float(n_acc))
+            curves.append((misses, float(n_acc), curve.instructions))
+        out[rid] = curves
+    return out
+
+
+def assert_curves_bytes_equal(got, want):
+    assert sorted(got) == sorted(want)
+    for rid, cells in want.items():
+        assert len(got[rid]) == len(cells)
+        for curve, (misses, accesses, instructions) in zip(got[rid], cells):
+            assert curve.misses.tobytes() == misses.tobytes()
+            assert curve.accesses == accesses
+            assert curve.instructions == instructions
+
+
+def grouped_stream(rng, segments):
+    """A region-grouped previous-occurrence array and its segment starts.
+
+    ``segments`` lists ``(length, first_touches)`` per segment.  A
+    segment opens with a first touch and places the rest of its first
+    touches at random; every other access re-touches a line its segment
+    has seen, so the sweep takes exactly ``length - first_touches`` of
+    its accesses.
+    """
+    lines, regions = [], []
+    for r, (length, first) in enumerate(segments):
+        flags = np.zeros(length, dtype=bool)
+        flags[0] = True
+        flags[1 + rng.choice(length - 1, first - 1, replace=False)] = True
+        seen = np.cumsum(flags)
+        pick = (rng.random(length) * seen).astype(np.int64)
+        lines.append(np.where(flags, seen - 1, pick))
+        regions.append(np.full(length, r, dtype=np.int32))
+    lines, regions = np.concatenate(lines), np.concatenate(regions)
+    starts = np.searchsorted(regions, regions, side="left")
+    return _prev_occurrence(lines, regions), starts
 
 
 class TestStackDistances:
@@ -105,18 +187,31 @@ class TestVectorizedEngineVsReference:
             st.integers(0, 2**31 - 1), min_size=1, max_size=5, unique=True
         ),
         line_step=st.sampled_from([977, 2**57]),
-        n_intervals=st.integers(1, 4),
+        n_intervals=st.integers(1, 12),
         sample_shift=st.sampled_from([0, 3]),
+    )
+    # Nine intervals over five accesses repeat bounds.  With shift 3 only
+    # line 0 (of lines 0-7 times 977) is sampled, so region 9 has no
+    # sampled access in two of three intervals and none at all in one.
+    @example([1, 2, 3, 1, 2], [0, 1, 0, 1, 0], [5, 2**31 - 1], 977, 9, 0)
+    @example(
+        [0, 1, 2, 0, 3, 0, 4, 5, 6, 7, 0, 1],
+        [0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 2],
+        [9, 4, 6],
+        977,
+        3,
+        3,
     )
     def test_profiler_curves_match_reference_engine(
         self, lines, picks, region_ids, line_step, n_intervals, sample_shift
     ):
         """Full MissCurve equality at sample_shift 0 and 3.
 
-        The reference computation mirrors the pre-vectorization profiler:
-        per-region re-slicing with Fenwick distances.  Region ids range
-        over [0, 2^31 - 1], and a ``line_step`` of 2^57 spreads lines so
-        that span x n exceeds 2^62 and the stable-sort fallback runs.
+        The reference is the pre-vectorization profiler: per-region
+        re-slicing with Fenwick distances and one curve per (region,
+        interval).  Region ids range over [0, 2^31 - 1], and a
+        ``line_step`` of 2^57 spreads lines so that span x n exceeds 2^62
+        and the stable-sort fallback runs.
         """
         n = min(len(lines), len(picks))
         # Spread line values so the sampling hash selects a non-trivial
@@ -129,35 +224,27 @@ class TestVectorizedEngineVsReference:
             chunk_bytes=1024, n_chunks=6, sample_shift=sample_shift
         )
         got = prof.profile(lines, regions, 1e4, n_intervals=n_intervals)
-        scale = float(1 << sample_shift)
-        bounds = np.linspace(0, n, n_intervals + 1).astype(np.int64)
-        assert sorted(got) == sorted(np.unique(regions).tolist())
-        for rid in np.unique(regions).tolist():
-            idx = np.nonzero(regions == rid)[0]
-            r_lines = lines[idx]
-            keep = prof._sample_mask(r_lines)
-            kept_idx = idx[keep]
-            dist = stack_distances_reference(r_lines[keep])
-            assert len(got[rid]) == n_intervals
-            for t in range(n_intervals):
-                lo, hi = bounds[t], bounds[t + 1]
-                window = (kept_idx >= lo) & (kept_idx < hi)
-                n_acc = int(np.count_nonzero((idx >= lo) & (idx < hi)))
-                want = miss_curve_from_distances(
-                    dist[window],
-                    chunk_bytes=1024,
-                    n_chunks=6,
-                    instructions=1e4 / n_intervals,
-                    scale=scale,
-                    distance_scale=scale,
-                )
-                curve = got[rid][t]
-                assert curve.accesses == float(n_acc)
-                if want.accesses > 0:
-                    expect = want.misses * (n_acc / want.accesses)
-                else:
-                    expect = np.full(7, float(n_acc))
-                assert np.array_equal(curve.misses, expect)
+        assert_curves_bytes_equal(
+            got, profile_per_cell(prof, lines, regions, 1e4, n_intervals)
+        )
+
+    def test_profiler_large_trace_matches_per_cell_curves(self):
+        """2^15+ sampled accesses, 3 regions, 48 intervals, shift 3."""
+        rng = np.random.default_rng(21)
+        n = 9 << 15
+        lines = (rng.integers(0, 1 << 14, size=n) * 64 + 0x7F0000000000) >> 6
+        regions = np.repeat(
+            rng.choice(np.array([7, 140897495, 2**31 - 1], dtype=np.int32), 512),
+            n // 512,
+        )
+        prof = StackDistanceProfiler(
+            chunk_bytes=64 * 1024, n_chunks=400, sample_shift=3
+        )
+        assert np.count_nonzero(prof._sample_mask(lines)) >= 1 << 15
+        got = prof.profile(lines, regions, 4e6, n_intervals=48)
+        assert_curves_bytes_equal(
+            got, profile_per_cell(prof, lines, regions, 4e6, 48)
+        )
 
     def test_sample_mask_keeps_the_hash_prefix(self):
         """The mask keeps a line iff its hash's top bits are zero."""
@@ -169,6 +256,67 @@ class TestVectorizedEngineVsReference:
                 64 - shift
             )
             assert np.array_equal(prof._sample_mask(lines), hashed == 0)
+
+
+class TestSweepVsOracle:
+    """The re-touch sweep against the sweep over every access."""
+
+    @pytest.mark.parametrize(
+        "retouches",
+        sorted(
+            {_BITMAP_MIN - 1, _BITMAP_MIN, _BITMAP_MIN + 1}
+            | {(1 << b) + d for b in range(1, 18) for d in (-1, 0, 1)}
+        ),
+    )
+    def test_sizes_around_padding_and_chunks(self, retouches):
+        """Sweeps of 2^b +- 1 elements (up to 2^17 + 1) and the crossover."""
+        rng = np.random.default_rng(retouches)
+        a = retouches // 3
+        segments = [(a + 7, 7), (1, 1), (retouches - a + 40, 40)]
+        prev, starts = grouped_stream(rng, segments)
+        assert np.count_nonzero(prev >= 0) == retouches
+        assert np.array_equal(
+            _distances_from_prev(prev), distances_from_prev_reference(prev, starts)
+        )
+
+    @pytest.mark.parametrize("bitmap_min", [0, _BITMAP_MIN])
+    def test_degenerate_segments(self, bitmap_min):
+        """First-touch-only, re-touch-only and one-element segments."""
+        rng = np.random.default_rng(4)
+        segments = [(1, 1), (5000, 5000), (9000, 1), (1, 1), (30000, 200), (1, 1)]
+        prev, starts = grouped_stream(rng, segments)
+        with mock.patch.object(reuse, "_BITMAP_MIN", bitmap_min):
+            got = _distances_from_prev(prev)
+        assert np.array_equal(got, distances_from_prev_reference(prev, starts))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(st.integers(0, 40), max_size=400),
+        offset=st.sampled_from([0, 2**40]),
+    )
+    def test_bitmap_finish_on_small_inputs(self, lines, offset):
+        """Forced onto every sweep, including chunks narrower than 64."""
+        arr = np.array(lines, dtype=np.int64) + offset
+        with mock.patch.object(reuse, "_BITMAP_MIN", 0):
+            got = stack_distances(arr)
+        assert np.array_equal(got, stack_distances_reference(arr))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 12)), max_size=300
+        ),
+        bitmap_min=st.sampled_from([0, 1 << 62]),
+    )
+    def test_grouped_streams_match_oracle(self, pairs, bitmap_min):
+        regions = np.array([r for r, __ in pairs], dtype=np.int32)
+        lines = np.array([x for __, x in pairs], dtype=np.int64)
+        src, grouped = _group_by_region(regions, np.arange(len(pairs)))
+        prev = _prev_occurrence(lines[src], grouped)
+        starts = np.searchsorted(grouped, grouped, side="left")
+        with mock.patch.object(reuse, "_BITMAP_MIN", bitmap_min):
+            got = _distances_from_prev(prev)
+        assert np.array_equal(got, distances_from_prev_reference(prev, starts))
 
 
 def _chained(lines, regions):
