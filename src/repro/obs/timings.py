@@ -1,10 +1,11 @@
 """One shared writer for the perf-suite timings artifacts.
 
-Seven ``benchmarks/test_perf_*`` modules used to keep their timings
-their own way: six hand-rolled the same load-merge-write JSON dance
-with six subtly different shapes, and the profiling one printed its
-numbers and kept none.  They now all call :func:`record_timings`,
-which writes one schema —
+The seven ``benchmarks/test_perf_*`` modules that predate this writer
+kept their timings their own way: six hand-rolled the same
+load-merge-write JSON dance with six subtly different shapes, and the
+profiling one printed its numbers and kept none.  They and every later
+perf module (nine in all) now call :func:`record_timings`, which
+writes one schema —
 
 .. code-block:: json
 

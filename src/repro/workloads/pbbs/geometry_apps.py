@@ -276,7 +276,7 @@ def build_ray(scale: str = "ref", seed: int = 0) -> Workload:
         origins = rng.integers(0, n_cells, size=count)
         steps = (origins[:, None] + np.arange(12) * 64).ravel() % n_cells
         # Each cell gathers ~2 candidate triangles, zipf-hot.
-        tri_idx = (rng.zipf(1.3, size=2 * len(steps)) - 1) % n_tris
+        tri_idx = (patterns.zipf_draws(rng, 1.3, 2 * len(steps)) - 1) % n_tris
         tb.access_interleaved(
             {
                 r_ray: patterns.gather(rays_a, np.arange(lo, lo + count), 2 * _WORD),

@@ -358,7 +358,7 @@ def build_setcover(scale: str = "ref", seed: int = 0) -> Workload:
     n_sets = n // 4
     rng = np.random.default_rng(seed + 40)
     if scale in ("ref", "large"):
-        sizes = np.clip(rng.zipf(1.6, size=n_sets), 2, 400)
+        sizes = np.clip(patterns.zipf_draws(rng, 1.6, n_sets), 2, 400)
     else:
         sizes = rng.integers(2, int(2 * deg), size=n_sets)
     total = int(sizes.sum())

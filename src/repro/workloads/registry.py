@@ -110,6 +110,9 @@ def _build_builtin(name: str, scale: str = "ref", seed: int = 0) -> Workload:
 import os  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from repro import obs  # noqa: E402
+from repro.workloads import patterns  # noqa: E402
+
 __all__ += ["ingested_apps", "register_trace", "trace_dir"]
 
 #: Environment variable naming the directory of registered ``.rtrace``
@@ -208,16 +211,28 @@ def build_workload(name: str, scale: str = "ref", seed: int = 0) -> Workload:
             (WhirlTool profiling inputs).  Ingested traces are a single
             fixed capture, so scale is ignored for them.
         seed: RNG seed (kept fixed across scales for the same program).
-    """
-    if name in _BUILDERS:
-        return _build_builtin(name, scale=scale, seed=seed)
-    path = _ingested_path(name)
-    if path is not None:
-        from repro.ingest import load_workload
 
-        return load_workload(path, name=name)
-    ingested = ingested_apps()
-    raise ValueError(
-        f"unknown workload {name!r}; known: {', '.join(ALL_APPS)}"
-        + (f"; ingested: {', '.join(ingested)}" if ingested else "")
-    )
+    Each build is an obs span ``workload.build`` tagged with its
+    arguments and the trace's access count.
+    """
+    with obs.span("workload.build", app=name, scale=scale, seed=seed) as span:
+        if name in _BUILDERS:
+            try:
+                workload = _build_builtin(name, scale=scale, seed=seed)
+            finally:
+                # Zipf rank permutations serve the phases of one build;
+                # kept, they would add to every later peak.
+                patterns.rank_permutation.cache_clear()
+        else:
+            path = _ingested_path(name)
+            if path is None:
+                ingested = ingested_apps()
+                raise ValueError(
+                    f"unknown workload {name!r}; known: {', '.join(ALL_APPS)}"
+                    + (f"; ingested: {', '.join(ingested)}" if ingested else "")
+                )
+            from repro.ingest import load_workload
+
+            workload = load_workload(path, name=name)
+        span.note(accesses=len(workload.trace))
+    return workload

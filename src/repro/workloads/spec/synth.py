@@ -54,6 +54,12 @@ class RegionSpec:
             raise ValueError(f"unknown pattern {self.pattern!r}")
         if self.size_bytes < 64:
             raise ValueError(f"region {self.name}: size too small")
+        # Caught here, or the build fails mid-phase with numpy's
+        # "a <= 1 or a is NaN", which names no region.
+        if self.pattern == "zipf" and not self.zipf_alpha > 1.0:
+            raise ValueError(
+                f"region {self.name}: zipf_alpha must be > 1, got {self.zipf_alpha}"
+            )
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,10 @@ class Workload:
         return self.trace.region_names
 
 
+#: Chunk shapes a :class:`TraceBuilder` keeps merge orders for.
+_SHAPE_MEMO = 16
+
+
 def _merge_order(lengths: list[int]) -> np.ndarray:
     """Gather order that proportionally merges streams of these lengths.
 
@@ -248,12 +252,14 @@ class TraceBuilder:
 
     def __init__(self, line_bytes: int = 64) -> None:
         self.line_bytes = line_bytes
-        self._chunks: list[np.ndarray] = []
+        self._line_chunks: list[np.ndarray] = []
         self._region_chunks: list[np.ndarray] = []
-        self._repeat_chunks: list[np.ndarray] = []
+        self._n_accesses = 0
         self._repeats = RepeatFilter()
         self._region_names: dict[int, str] = {}
         self._next_region = 0
+        # (region ids, stream lengths) -> (merge order, merged region ids).
+        self._shapes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def region(self, name: str, alloc: Allocation | None = None) -> int:
         """Register a region; returns its id.
@@ -284,9 +290,10 @@ class TraceBuilder:
     def access(self, addrs: np.ndarray, region: int) -> None:
         """Append byte-address accesses for one region, in order.
 
-        Accesses are stored as lines, each flagged as it is recorded when
-        it repeats the region's previous line (:class:`RepeatFilter`);
-        :meth:`finalize` drops the flagged ones under ``dedup``.
+        Accesses are stored as lines.  One that repeats its region's
+        previous line (:class:`RepeatFilter`) is dropped as it is
+        recorded: the private L1/L2 would serve it, so the LLC sees each
+        sequentially touched line once.
 
         Rejects non-integer dtypes and negative addresses — external
         trace ingestion feeds this path, so malformed input must fail
@@ -297,16 +304,16 @@ class TraceBuilder:
             return
         if region not in self._region_names:
             raise ValueError(f"region {region} not registered")
-        self._chunks.append(lines)
-        self._region_chunks.append(np.full(len(lines), region, dtype=np.int32))
-        self._repeat_chunks.append(self._repeats.stream(lines, region))
+        kept = lines[~self._repeats.stream(lines, region)]
+        self._record(kept, np.full(len(kept), region, dtype=np.int32), len(lines))
 
     def access_interleaved(self, streams: dict[int, np.ndarray]) -> None:
         """Append several regions' streams, proportionally interleaved.
 
         The merge (see :func:`interleave`) keeps each region's accesses
         in stream order, so the repeat flags computed on each stream
-        carry over to the merged chunk unchanged.
+        carry over to the merged chunk: the merge order, compressed to
+        the accesses that are not repeats, gathers the chunk.
         """
         regions = list(streams.keys())
         for r in regions:
@@ -316,51 +323,67 @@ class TraceBuilder:
         lengths = [len(x) for x in lines]
         if not any(lengths):
             return
-        order = _merge_order(lengths)
-        self._chunks.append(np.concatenate(lines)[order])
-        self._region_chunks.append(
-            np.repeat(np.array(regions, dtype=np.int32), lengths)[order]
+        order, merged_regions = self._shape(regions, lengths)
+        repeat = np.concatenate(
+            [self._repeats.stream(x, r) for x, r in zip(lines, regions)]
         )
-        self._repeat_chunks.append(
-            np.concatenate(
-                [self._repeats.stream(x, r) for x, r in zip(lines, regions)]
-            )[order]
+        keep = ~repeat[order]
+        self._record(
+            np.concatenate(lines)[order[keep]], merged_regions[keep], sum(lengths)
         )
+
+    def _shape(
+        self, regions: list[int], lengths: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Merge order and merged region ids of one chunk shape.
+
+        Phase-structured builders record the same few shapes many times,
+        so each is computed once per builder.  The memo keeps the
+        :data:`_SHAPE_MEMO` shapes seen last, so a builder whose every
+        chunk differs holds a bounded number of them.
+        """
+        key = (tuple(regions), tuple(lengths))
+        shape = self._shapes.pop(key, None)
+        if shape is None:
+            order = _merge_order(lengths)
+            merged = np.repeat(np.array(regions, dtype=np.int32), lengths)[order]
+            shape = (order, merged)
+            if len(self._shapes) >= _SHAPE_MEMO:
+                del self._shapes[next(iter(self._shapes))]
+        self._shapes[key] = shape
+        return shape
+
+    def _record(self, lines: np.ndarray, regions: np.ndarray, n: int) -> None:
+        """Keep one chunk's non-repeated accesses out of ``n`` recorded."""
+        self._line_chunks.append(lines)
+        self._region_chunks.append(regions)
+        self._n_accesses += n
 
     @property
     def n_accesses(self) -> int:
-        """Accesses accumulated so far."""
-        return sum(len(c) for c in self._chunks)
+        """Accesses recorded so far, repeats included."""
+        return self._n_accesses
 
     def finalize(
         self,
         instructions: float | None = None,
-        dedup: bool = True,
         apki: float | None = None,
     ) -> Trace:
-        """Produce the line-granular :class:`Trace`.
+        """Produce the line-granular :class:`Trace` of the kept accesses.
 
-        With ``dedup`` (default), consecutive same-line accesses *within a
-        region's own stream* are collapsed: the private L1/L2 would serve
-        them, so the LLC sees each sequentially-touched line once.  The
-        repeats were flagged as the accesses were recorded, so this only
-        drops them.
+        Repeats were dropped as the accesses were recorded (see
+        :meth:`access`), so this only concatenates.
 
         Provide either ``instructions`` (explicit count) or ``apki`` (the
-        instruction count is derived from the post-dedup access count so
-        the trace's LLC APKI lands exactly on the target).
+        instruction count is derived from the kept access count so the
+        trace's LLC APKI lands exactly on the target).
         """
-        if not self._chunks:
+        if not self._n_accesses:
             raise ValueError("no accesses recorded")
         if (instructions is None) == (apki is None):
             raise ValueError("provide exactly one of instructions / apki")
-        lines, regions = self._chunks, self._region_chunks
-        if dedup:
-            # Chunk by chunk, so no full-length pre-dedup copy is made.
-            keep = [~repeat for repeat in self._repeat_chunks]
-            lines = [c[k] for c, k in zip(lines, keep)]
-            regions = [c[k] for c, k in zip(regions, keep)]
-        lines, regions = np.concatenate(lines), np.concatenate(regions)
+        lines = np.concatenate(self._line_chunks)
+        regions = np.concatenate(self._region_chunks)
         if instructions is None:
             instructions = len(lines) * 1000.0 / apki
         return Trace(

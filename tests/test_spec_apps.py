@@ -12,6 +12,7 @@ import pytest
 from repro.curves import StackDistanceProfiler
 from repro.workloads import build_workload
 from repro.workloads.registry import SPEC_APPS
+from repro.workloads.spec.synth import RegionSpec
 
 _MB = 1 << 20
 
@@ -52,6 +53,17 @@ class TestEveryApp:
         w = build_workload(name, scale="train", seed=0)
         assert len(w.trace) > 10_000
         assert 5.0 < w.trace.apki < 200.0  # paper: >5 L2 MPKI apps
+
+
+class TestRegionSpec:
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, -1.0, float("nan")])
+    def test_zipf_alpha_must_exceed_one(self, alpha):
+        # Before the build, and naming the region.
+        with pytest.raises(ValueError, match="region hot: zipf_alpha must be > 1"):
+            RegionSpec("hot", 4096, "zipf", zipf_alpha=alpha)
+
+    def test_other_patterns_ignore_zipf_alpha(self):
+        assert RegionSpec("flat", 4096, "uniform", zipf_alpha=1.0).zipf_alpha == 1.0
 
 
 class TestBzip2(object):

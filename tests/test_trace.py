@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem import HeapAllocator
+from repro.workloads import trace as trace_module
 from repro.workloads.trace import Trace, TraceBuilder, interleave
 
 
@@ -330,9 +331,30 @@ class TestTraceBuilderDedup:
         deduped = tb.finalize(instructions=1.0)
         assert np.array_equal(deduped.lines, lines[keep])
         assert np.array_equal(deduped.regions, regions[keep])
-        everything = tb.finalize(instructions=1.0, dedup=False)
-        assert np.array_equal(everything.lines, lines)
-        assert np.array_equal(everything.regions, regions)
+
+    def test_shape_memo_is_bounded_and_exact(self, monkeypatch):
+        # Shapes recur, are evicted, and come back; every chunk must
+        # still merge and drop repeats as interleave and the grouped
+        # rule say.
+        monkeypatch.setattr(trace_module, "_SHAPE_MEMO", 2)
+        tb = TraceBuilder(line_bytes=1)
+        ra, rb = tb.region("a"), tb.region("b")
+        rng = np.random.default_rng(0)
+        lines, regions = [], []
+        for na, nb in [(3, 5), (2, 2), (3, 5), (4, 1), (2, 2), (3, 5), (0, 4)]:
+            a, b = rng.integers(0, 3, na), rng.integers(0, 3, nb)
+            tb.access_interleaved({ra: a, rb: b})
+            merged, src = interleave(a, b)
+            lines += merged.tolist()
+            regions += [(ra, rb)[i] for i in src.tolist()]
+            assert len(tb._shapes) <= 2
+        lines = np.array(lines, dtype=np.int64)
+        regions = np.array(regions, dtype=np.int32)
+        keep = _old_rule_keep(lines, regions)
+        trace = tb.finalize(instructions=1.0)
+        assert np.array_equal(trace.lines, lines[keep])
+        assert np.array_equal(trace.regions, regions[keep])
+        assert tb.n_accesses == len(lines)
 
     def test_repeat_across_calls_is_dropped(self):
         tb = TraceBuilder()

@@ -8,6 +8,7 @@ phase behaviour.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.curves import StackDistanceProfiler
 from repro.workloads import ALL_APPS, MANUAL_APPS, build_workload
 from repro.workloads.registry import PBBS_APPS, SPEC_APPS
@@ -37,6 +38,23 @@ class TestRegistry:
             w = build_workload(name, scale="train", seed=0)
             assert w.manual_pools, name
             assert w.table2_loc, name
+
+    def test_build_emits_one_tagged_span(self, monkeypatch):
+        monkeypatch.delenv(obs.ENV_VAR, raising=False)
+        sink = obs.MemorySink()
+        obs.enable(sinks=[sink])
+        try:
+            w = build_workload("lbm", scale="train", seed=3)
+        finally:
+            obs.disable()
+        ends = [
+            e for e in sink.events
+            if e["kind"] == "span-end" and e["name"] == "workload.build"
+        ]
+        assert len(ends) == 1
+        assert ends[0]["fields"] == {
+            "app": "lbm", "scale": "train", "seed": 3, "accesses": len(w.trace)
+        }
 
     def test_determinism(self):
         a = build_workload("MIS", scale="train", seed=3)
