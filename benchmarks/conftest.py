@@ -1,7 +1,8 @@
 """Benchmark harness fixtures.
 
 Every bench regenerates one of the paper's tables or figures, prints it,
-and persists it under ``benchmarks/results/``.  Run with::
+and checks it against its golden under ``benchmarks/results/`` (written
+when absent; a difference fails the bench).  Run with::
 
     pytest benchmarks/ --benchmark-only
 
@@ -35,7 +36,7 @@ def cfg16():
 
 @pytest.fixture
 def report():
-    """Print + persist an experiment's output."""
+    """Print an experiment's output and check it against its golden."""
     from repro.analysis import write_result
 
     def _report(name: str, text: str) -> None:

@@ -1,8 +1,8 @@
 """Reporting helpers for the benchmark harness.
 
 - :mod:`repro.analysis.report` — plain-text table formatting and result
-  persistence (every figure/table bench writes its output under
-  ``benchmarks/results/``).
+  goldens (every figure/table bench checks its output against a file
+  under ``benchmarks/results/``, written when absent).
 - :mod:`repro.analysis.placement_map` — ASCII placement maps (Figs 3-5).
 - :mod:`repro.analysis.compare` — run a workload under the paper's full
   scheme comparison set.

@@ -1,7 +1,8 @@
-"""Plain-text tables and result persistence for the benchmark harness."""
+"""Plain-text tables and result goldens for the benchmark harness."""
 
 from __future__ import annotations
 
+import difflib
 import os
 from pathlib import Path
 
@@ -51,9 +52,24 @@ def gmean(values) -> float:
 
 
 def write_result(name: str, text: str) -> Path:
-    """Persist one experiment's output under benchmarks/results/."""
+    """Check one experiment's output against its golden in benchmarks/results/.
+
+    An absent golden is written.  A golden that differs raises
+    ``ValueError`` with a unified diff and is left as it was; delete it
+    and rerun its bench to regenerate it.
+    """
     directory = results_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{name}.txt"
-    path.write_text(text + "\n")
+    text += "\n"
+    if not path.exists():
+        path.write_text(text)
+    elif (golden := path.read_text()) != text:
+        diff = difflib.unified_diff(
+            golden.splitlines(True), text.splitlines(True), str(path), f"{name} (this run)"
+        )
+        raise ValueError(
+            f"{path} differs from this run's output (delete it and rerun to "
+            f"regenerate it):\n{''.join(diff)}"
+        )
     return path

@@ -4,8 +4,8 @@
 ``tests/``, and ``benchmarks/`` and exits non-zero on findings.  The
 rules mechanize the conventions the reproduction's bit-identity story
 depends on; each rule's ``--explain`` text records *why* the convention
-exists.  Pinned facts (line numbers, oracle pairings, fingerprint field
-sets) live in :mod:`repro.devtools.lint.manifest`'s ``invariants.toml``.
+exists.  Pinned facts (oracle pairings, fingerprint field sets) live
+in :mod:`repro.devtools.lint.manifest`'s ``invariants.toml``.
 """
 
 from repro.devtools.lint.base import (

@@ -7,7 +7,7 @@ A rule is a class with an ``id``, a docstring (its rationale, printed by
   parsed AST (:class:`LintedFile`).
 - :meth:`Rule.check_project` — called once per run with the whole
   :class:`Project`.  Project rules check repo-level invariants (pinned
-  line numbers, cross-file pairings) against the repository tree rooted
+  field sets, cross-file pairings) against the repository tree rooted
   at ``project.root``, independent of which paths were passed on the
   command line — so linting a single file still verifies the pins.
 

@@ -1,11 +1,9 @@
 """The invariants manifest: the pinned facts the rules check against.
 
 ``invariants.toml`` (shipped next to this module) is the single place
-where the repo's fixture-coupled and bit-identity invariants are written
-down as data:
+where the repo's cache-key and bit-identity invariants are written down
+as data:
 
-- ``[[callpoint_pin]]`` — statements whose *line number* is load-bearing
-  because callpoint ids hash (file, line) call-frame pairs.
 - ``[[engine]]`` — every public kernel with a vectorized/batched engine,
   paired with its retained serial reference oracle.  New ``engine=``
   kernels must be registered here (the oracle-pairing rule fails
@@ -37,12 +35,6 @@ def load_manifest(path: str | Path | None = None) -> dict:
     path = Path(path) if path is not None else DEFAULT_MANIFEST
     with open(path, "rb") as f:
         data = tomllib.load(f)
-    for pin in data.get("callpoint_pin", []):
-        for key in ("file", "line", "statement"):
-            if key not in pin:
-                raise ValueError(
-                    f"{path}: callpoint_pin entry missing {key!r}"
-                )
     for eng in data.get("engine", []):
         for key in ("kernel", "module", "reference"):
             if key not in eng:

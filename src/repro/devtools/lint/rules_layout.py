@@ -1,8 +1,8 @@
-"""Layout-coupled invariants: pinned linenos and fingerprint field sets.
+"""Fingerprint field sets, pinned as digests of their hash-update calls.
 
-These two rules guard the invariants that are *invisible* to the test
-suite until a fixture silently goes stale: source line numbers that feed
-callpoint hashes, and the exact input set of each content fingerprint.
+This rule guards an invariant that is *invisible* to the test suite
+until a cached artifact silently goes stale: the exact input set of each
+content fingerprint.
 """
 
 from __future__ import annotations
@@ -18,63 +18,7 @@ from repro.devtools.lint.base import (
     register_rule,
 )
 
-__all__ = ["CallpointPinRule", "FingerprintVersionRule"]
-
-
-@register_rule
-class CallpointPinRule(Rule):
-    """Fixture-coupled statements must sit exactly at their pinned lineno.
-
-    Callpoint ids hash the last two call-frame (file, line) pairs; for a
-    builder's top-level allocations the second frame is the registry's
-    dispatch statement.  Moving that statement — even by one line —
-    relabels every region id, silently invalidating all committed
-    profile-cache and dendrogram fixtures.  The pins live in
-    ``invariants.toml`` (``[[callpoint_pin]]``); code added to a pinned
-    module must go *below* the pinned statement, or the fixtures must be
-    regenerated deliberately alongside a manifest update.
-    """
-
-    id = "callpoint-pin"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        for pin in project.manifest.get("callpoint_pin", []):
-            rel = pin["file"]
-            lineno = int(pin["line"])
-            statement = pin["statement"].strip()
-            f = project.file(rel)
-            if f is None:
-                yield self.finding(
-                    rel, 1, f"pinned file {rel} is missing from the tree"
-                )
-                continue
-            actual = (
-                f.lines[lineno - 1].strip()
-                if 0 < lineno <= len(f.lines)
-                else ""
-            )
-            if actual != statement:
-                where = self._locate(f.lines, statement)
-                detail = (
-                    f" (found at line {where})"
-                    if where is not None
-                    else " (not found anywhere in the file)"
-                )
-                yield self.finding(
-                    rel,
-                    lineno,
-                    f"pinned statement {statement!r} must sit exactly at "
-                    f"line {lineno}{detail}: callpoint ids hash (file, "
-                    "line) pairs, so moving it invalidates every committed "
-                    "profile-cache/dendrogram fixture",
-                )
-
-    @staticmethod
-    def _locate(lines: list[str], statement: str) -> int | None:
-        for n, line in enumerate(lines, 1):
-            if line.strip() == statement:
-                return n
-        return None
+__all__ = ["FingerprintVersionRule"]
 
 
 def fingerprint_fields_digest(

@@ -29,6 +29,9 @@ __all__ = ["AttributionTable", "FALLBACK_NAME"]
 #: Name of the fallback region unattributed addresses land in.
 FALLBACK_NAME = "heap"
 
+#: Largest region id: ids are int32, as callpoint ids (0 to 2^31-1) are.
+_MAX_REGION = np.iinfo(np.int32).max
+
 
 @dataclass
 class AttributionTable:
@@ -51,7 +54,10 @@ class AttributionTable:
     def __post_init__(self) -> None:
         self.starts = np.ascontiguousarray(self.starts, dtype=np.int64)
         self.ends = np.ascontiguousarray(self.ends, dtype=np.int64)
-        self.regions = np.ascontiguousarray(self.regions, dtype=np.int32)
+        regions = np.asarray(self.regions)
+        if len(regions) and not 0 <= regions.min() <= regions.max() <= _MAX_REGION:
+            raise ValueError(f"region ids must be non-negative and at most {_MAX_REGION}")
+        self.regions = np.ascontiguousarray(regions, dtype=np.int32)
         if not (len(self.starts) == len(self.ends) == len(self.regions)):
             raise ValueError("starts, ends and regions must have equal length")
         if len(self.starts):
@@ -61,10 +67,8 @@ class AttributionTable:
                 raise ValueError("ranges must be sorted by start address")
             if np.any(self.ends[:-1] > self.starts[1:]):
                 raise ValueError("ranges must be disjoint")
-            if int(self.regions.min()) < 0:
-                raise ValueError("region ids must be non-negative")
-        if self.fallback_region < 0:
-            raise ValueError("fallback_region must be non-negative")
+        if not 0 <= self.fallback_region <= _MAX_REGION:
+            raise ValueError(f"fallback_region must be non-negative and at most {_MAX_REGION}")
         self.region_names.setdefault(int(self.fallback_region), FALLBACK_NAME)
 
     @classmethod
@@ -80,17 +84,21 @@ class AttributionTable:
             allocs: live allocations (e.g. ``heap.live_allocations``).
             names: optional callpoint id -> name.
             fallback_region: id for unattributed addresses; defaults to
-                one above the largest callpoint (0 for an empty table),
-                so it can never shadow a real region.
+                one above the largest callpoint (0 for an empty table), or
+                the smallest free id if that overflows int32, so it can
+                never shadow a real region.
         """
         starts, ends, callpoints = allocation_ranges(allocs)
         if fallback_region is None:
             fallback_region = int(callpoints.max()) + 1 if len(callpoints) else 0
+            if fallback_region > _MAX_REGION:
+                used = np.unique(callpoints)
+                fallback_region = int(np.argmax(used != np.arange(len(used))))
         region_names = dict(names or {})
         return cls(
             starts=starts,
             ends=ends,
-            regions=callpoints.astype(np.int32),
+            regions=callpoints,
             region_names=region_names,
             fallback_region=int(fallback_region),
         )
@@ -141,6 +149,8 @@ class AttributionTable:
                     raise ValueError(
                         f"{path}:{lineno}: size must be positive, got {size}"
                     )
+                if not 0 <= region <= _MAX_REGION:
+                    raise ValueError(f"{path}:{lineno}: region {region} is outside [0, 2^31-1]")
                 allocs.append(
                     Allocation(base=base, size=size, pool=-1, callpoint=region)
                 )

@@ -19,7 +19,7 @@ stack — which is what the WhirlTool profiler clusters (paper Sec 4.1).
 
 from __future__ import annotations
 
-import inspect
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -45,16 +45,23 @@ _SIZE_CLASSES = [16, 32, 64, 128, 256, 512, 1024, 2048, PAGE_SIZE]
 _ARENA_RUN_PAGES = 16
 
 
-def callpoint_id(depth: int = 2, skip: int = 2) -> int:
-    """Hash of the last ``depth`` call frames (paper: last two return PCs).
+def callpoint_id(skip: int = 2) -> int:
+    """Hash of the last two call sites (paper: last two return PCs).
 
-    Args:
-        depth: number of frames to hash.
-        skip: frames to skip (the allocator's own).
+    A site is ``module:qualname:line offset in its function``, so an id
+    names the code wherever the package lives.  ``skip`` counts the
+    frames above the sites: this function's and the allocator's own.
     """
-    frames = inspect.stack()[skip : skip + depth]
-    key = "|".join(f"{f.filename}:{f.lineno}" for f in frames)
-    return zlib.crc32(key.encode()) & 0x7FFFFFFF
+    frame = sys._getframe()
+    for _ in range(skip):
+        frame = frame and frame.f_back
+    sites = []
+    while frame is not None and len(sites) < 2:
+        code = frame.f_code
+        site = f"{frame.f_globals.get('__name__')}:{code.co_qualname}"
+        sites.append(f"{site}:{frame.f_lineno - code.co_firstlineno}")
+        frame = frame.f_back
+    return zlib.crc32("|".join(sites).encode()) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,12 @@ ported by hand in Table 2 carry their manual pool classification.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
 from typing import Callable
 
+from repro import obs
+from repro.workloads import patterns
 from repro.workloads.pbbs import (
     build_bfs,
     build_delaunay,
@@ -36,6 +40,9 @@ __all__ = [
     "PBBS_APPS",
     "SPEC_APPS",
     "build_workload",
+    "ingested_apps",
+    "register_trace",
+    "trace_dir",
 ]
 
 #: PBBS builders (16 apps; Fig 16's right half).
@@ -84,36 +91,6 @@ MANUAL_APPS = [
     "cactus",
 ]
 
-
-def _build_builtin(name: str, scale: str = "ref", seed: int = 0) -> Workload:
-    """Dispatch to a synthesized-suite builder.
-
-    LAYOUT CONSTRAINT — ``return builder(...)`` must stay on its
-    historical line (103): callpoint ids hash the last two call-frame
-    (file, line) pairs, and for a builder's top-level allocations the
-    second frame is that line.  Moving it relabels every region id,
-    invalidating profile caches and goldens; new code goes at the end.
-    """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; known: {', '.join(ALL_APPS)}"
-        ) from None
-    return builder(scale=scale, seed=seed)
-
-
-# ----------------------------------------------------------------------
-# Ingested external traces (repro.ingest) — appended below the builder
-# dispatch to preserve its line number (see _build_builtin's docstring).
-# ----------------------------------------------------------------------
-import os  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from repro import obs  # noqa: E402
-from repro.workloads import patterns  # noqa: E402
-
-__all__ += ["ingested_apps", "register_trace", "trace_dir"]
 
 #: Environment variable naming the directory of registered ``.rtrace``
 #: archives (``python -m repro ingest register`` writes here).
@@ -218,7 +195,7 @@ def build_workload(name: str, scale: str = "ref", seed: int = 0) -> Workload:
     with obs.span("workload.build", app=name, scale=scale, seed=seed) as span:
         if name in _BUILDERS:
             try:
-                workload = _build_builtin(name, scale=scale, seed=seed)
+                workload = _BUILDERS[name](scale=scale, seed=seed)
             finally:
                 # Zipf rank permutations serve the phases of one build;
                 # kept, they would add to every later peak.

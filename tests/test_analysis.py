@@ -1,5 +1,7 @@
 """Unit tests for the analysis/reporting helpers."""
 
+import os
+
 import pytest
 
 from repro.analysis import format_table, gmean, placement_map, run_schemes
@@ -44,6 +46,25 @@ class TestWriteResult:
         path = write_result("myexp", "hello")
         assert path.read_text() == "hello\n"
         assert path.parent == tmp_path
+
+    def test_equal_golden_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        golden = tmp_path / "myexp.txt"
+        golden.write_text("hello\n")
+        os.utime(golden, ns=(0, 0))
+        assert write_result("myexp", "hello") == golden
+        assert golden.stat().st_mtime_ns == 0
+
+    def test_different_golden_raises_with_diff(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        golden = tmp_path / "myexp.txt"
+        golden.write_text("a\nold\n")
+        with pytest.raises(ValueError) as excinfo:
+            write_result("myexp", "a\nnew")
+        message = str(excinfo.value)
+        assert str(golden) in message
+        assert "\n-old\n" in message and "\n+new\n" in message
+        assert golden.read_text() == "a\nold\n"
 
 
 class TestPlacementMap:

@@ -155,3 +155,40 @@ class TestAttributionTable:
         table = AttributionTable.from_allocations([])
         got = table.attribute(np.array([1, 2, 3]))
         assert (got == table.fallback_region).all()
+
+    def test_largest_callpoint_id_gets_a_free_fallback(self, tmp_path):
+        # max + 1 would overflow int32, so the smallest unused id is taken.
+        path = tmp_path / "allocs.jsonl"
+        path.write_text(
+            '{"base": 4096, "size": 512, "region": 0}\n'
+            f'{{"base": 8192, "size": 512, "region": {2**31 - 1}}}\n'
+        )
+        table = AttributionTable.from_log(path)
+        assert table.fallback_region == 1
+        got = table.attribute(np.array([4096, 8192, 0]))
+        assert got.tolist() == [0, 2**31 - 1, 1]
+
+    def test_log_region_beyond_int32_rejected(self, tmp_path):
+        # Regression: 2^32 + 5 used to be cast to region 5 silently.
+        path = tmp_path / "allocs.jsonl"
+        path.write_text(
+            '{"base": 4096, "size": 512, "region": 5}\n'
+            f'{{"base": 8192, "size": 512, "region": {2**32 + 5}}}\n'
+        )
+        with pytest.raises(ValueError, match=r"allocs\.jsonl:2: region"):
+            AttributionTable.from_log(path)
+
+    def test_out_of_range_region_or_fallback_rejected(self):
+        with pytest.raises(ValueError, match="region ids"):
+            AttributionTable(
+                starts=np.array([0]),
+                ends=np.array([64]),
+                regions=np.array([2**31], dtype=np.int64),
+            )
+        with pytest.raises(ValueError, match="fallback_region"):
+            AttributionTable(
+                starts=np.array([0]),
+                ends=np.array([64]),
+                regions=np.array([1]),
+                fallback_region=2**31,
+            )

@@ -42,46 +42,6 @@ def run(root, mpath, rules):
 
 
 # ----------------------------------------------------------------------
-# callpoint-pin
-# ----------------------------------------------------------------------
-PIN_MANIFEST = """
-[[callpoint_pin]]
-file = "src/registry.py"
-line = 3
-statement = "return x"
-"""
-
-PIN_OK = """\
-def f():
-    x = 1
-    return x
-"""
-
-PIN_SHIFTED = """\
-# a comment pushing everything down
-def f():
-    x = 1
-    return x
-"""
-
-
-def test_callpoint_pin_clean(tmp_path):
-    root, m = make_tree(tmp_path, {"src/registry.py": PIN_OK}, PIN_MANIFEST)
-    assert run(root, m, ["callpoint-pin"]) == []
-
-
-def test_callpoint_pin_shifted_line_fails(tmp_path):
-    root, m = make_tree(
-        tmp_path, {"src/registry.py": PIN_SHIFTED}, PIN_MANIFEST
-    )
-    findings = run(root, m, ["callpoint-pin"])
-    assert len(findings) == 1
-    assert findings[0].file == "src/registry.py"
-    assert findings[0].line == 3
-    assert "found at line 4" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # oracle-pairing
 # ----------------------------------------------------------------------
 ORACLE_MANIFEST = """

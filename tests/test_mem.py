@@ -1,5 +1,7 @@
 """Unit tests for the virtual-memory substrate."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,19 @@ class TestHeapAllocator:
         heap = HeapAllocator()
         allocs = [heap.malloc(16) for __ in range(3)]
         assert len({x.callpoint for x in allocs}) == 1
+
+    def test_callpoints_ignore_code_above_the_function(self):
+        # A site is named by module, function and line offset, so moving
+        # the function down its file (or the file elsewhere) keeps its id.
+        source = "def build(heap):\n    return heap.malloc(16)\n"
+        heap = HeapAllocator()
+        ids = []
+        for where, above in (("a", ""), ("b", "\n\n# moved down\n\n")):
+            module = types.ModuleType("callpoint_site")
+            code = compile(above + source, f"/{where}/callpoint_site.py", "exec")
+            exec(code, module.__dict__)
+            ids.append(module.build(heap).callpoint)
+        assert ids[0] == ids[1]
 
     def test_addresses_helper(self):
         heap = HeapAllocator()

@@ -1,22 +1,30 @@
-"""Committed digests of every SPEC model's trace.
+"""Committed digests of every built-in trace.
 
-SPEC region ids hash region names, not allocation frames, so these
-traces do not depend on the checkout path and their bytes can be
-pinned: a change to workload synthesis that alters any line, region id
-or instruction count of a SPEC trace fails here.  Each app is pinned at
-train scale with its Fig-22 seed (``crc32(name) % 1000``) and at ref
-scale with seed 1005.  PBBS region ids still hash absolute file paths,
-so PBBS traces are not pinned.
+Region ids do not depend on where the package lives: SPEC region ids
+hash region names, and PBBS region ids hash allocation callpoints, each
+the module name, function qualname and line offset of the two frames
+above the allocator.  So trace bytes can be pinned: a change to workload
+synthesis that alters any line, region id or instruction count fails
+here.  Each SPEC app is pinned at train scale with its Fig-22 seed
+(``crc32(name) % 1000``) and at ref scale with seed 1005, and each PBBS
+app at train scale with the same name-derived seed.
 """
 
 import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.workloads import build_workload
-from repro.workloads.registry import SPEC_APPS
+from repro.workloads.registry import PBBS_APPS, SPEC_APPS
 
 #: app -> (train-scale sha256, ref-scale sha256) of lines, regions and
 #: the float64 instruction count.
@@ -83,6 +91,27 @@ DIGESTS = {
     ),
 }
 
+#: app -> train-scale sha256 of lines, regions and the float64
+#: instruction count.
+PBBS_DIGESTS = {
+    "BFS": "b49f281ef2b4a65e145b53ebd36607f605958e9962b228326ab40187091924a9",
+    "MIS": "87789566b2ddcafb360c2e46e4bf033b7fd1e60d6266887fb2504b4f08a5210e",
+    "MST": "1ee1db110a27b21c3e8b2ea29dd4d19efb0b114dbce3257bb7280e5e0da3987c",
+    "SA": "d2b86baf5b8196cddecf43b6c227f5932fce9ac128f3241c4cf7e625e8121e85",
+    "ST": "94631ae9716396a86d6f235de2e6f603131836d2ce518091d756b8ef561b4f77",
+    "delaunay": "74c8aaf8df034541fcb6193a03166963beabbd96eb00f8335f212b0d62ecc00a",
+    "dict": "1f744cce2617fa721b2f0096496ee504572ea9e5c991e69f4b38b54516be116a",
+    "hull": "64f261fcb18fb66ed2b60b33e2938200454fafd3d9a650374275ecb299f94026",
+    "isort": "ec09a02556e6ef0ff57da43431de62e238a7afe2d785c18efc2dabfb940de4e7",
+    "matching": "87d79544f8fec2097f4e131dffd63a9828a6badfc34d2ced17d98eb0c89342a0",
+    "neighbors": "842d1de6d62c58cde6c247b32fbb624df65d696c73c564a88fb3513ccb9cd841",
+    "ray": "35f4a19aab639eda43b898a2d88a100dcfeab6d100b43b886f56159831f4ff6b",
+    "refine": "e61fd7b63638a644680c24f2733fd37b27d6b5699090ebbee77c60e3b54e9030",
+    "remDups": "e75067b183b288727a3411f077d19386fc5a0f7036cc300d6095800a8e706434",
+    "setCover": "3a77c5471f5a2a1f0629ed61ead724fcf347aa7e4feeedf0cab8cd2eb94fda70",
+    "sort": "53f4c9d509d79360442775312a0b4059954dd145a5b3453a49381e4b5dd481cc",
+}
+
 
 def trace_digest(trace) -> str:
     h = hashlib.sha256()
@@ -104,3 +133,44 @@ def test_trace_bytes_are_unchanged(name, scale):
     assert trace.lines.dtype == np.int64 and trace.regions.dtype == np.int32
     want = DIGESTS[name][0 if scale == "train" else 1]
     assert trace_digest(trace) == want
+
+
+def test_every_pbbs_app_is_pinned():
+    assert sorted(PBBS_DIGESTS) == sorted(PBBS_APPS)
+
+
+@pytest.mark.parametrize("name", PBBS_APPS)
+def test_pbbs_trace_bytes_are_unchanged(name):
+    seed = zlib.crc32(name.encode()) % 1000
+    trace = build_workload(name, scale="train", seed=seed).trace
+    assert trace_digest(trace) == PBBS_DIGESTS[name]
+
+
+def test_pbbs_region_ids_do_not_depend_on_the_checkout(tmp_path):
+    apps = ("MIS", "delaunay")
+    shutil.copytree(
+        Path(repro.__file__).parent,
+        tmp_path / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    script = (
+        "import json, sys, repro\n"
+        "from repro.workloads import build_workload\n"
+        "ids = [sorted(build_workload(a, scale='train', seed=0).region_names)\n"
+        "       for a in sys.argv[1:]]\n"
+        "print(json.dumps([repro.__file__, ids]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, *apps],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    where, ids = json.loads(out.stdout)
+    assert Path(where).is_relative_to(tmp_path)
+    assert ids == [
+        sorted(build_workload(a, scale="train", seed=0).region_names)
+        for a in apps
+    ]
