@@ -3,9 +3,9 @@
 Same contract as the profiling and partitioning smokes downstack: the
 batched ``WhirlToolAnalyzer.cluster`` (condensed distance matrix, one
 batched combine/partition evaluation per distance row) must beat — and
-stay >= 5x faster than — the retained ``cluster_reference`` on a
-48-callpoint x 16-interval profile, while producing a bit-identical
-merge tree.  A third case runs real-shaped curves on the 401-point
+stay >= 5x faster than — the serial ``cluster_reference`` in
+``tests/oracles/whirltool.py`` on a 48-callpoint x 16-interval profile,
+while producing a bit-identical merge tree.  A third case runs real-shaped curves on the 401-point
 online grid, where Listing 1's step loop sets the cost.  Timings are
 written as JSON
 (``benchmarks/perf_clustering_timings.json``, gitignored) so CI can
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles.whirltool import cluster_reference
 from repro.core.whirltool import WhirlToolAnalyzer
 from repro.core.whirltool.profiler import CallpointProfile
 from repro.curves import MissCurve
@@ -147,7 +148,7 @@ class TestPerfClustering:
         analyzer = WhirlToolAnalyzer()
         t_batched, got = _best_of(lambda: analyzer.cluster(profile), repeats=3)
         t_ref, want = _best_of(
-            lambda: analyzer.cluster_reference(profile), repeats=3
+            lambda: cluster_reference(profile), repeats=3
         )
         assert got.merges == want.merges  # bit-identical tree
         _record_timings("smoke_12x4", t_batched, t_ref)
@@ -172,7 +173,7 @@ class TestPerfClustering:
         profile = _instance()
         analyzer = WhirlToolAnalyzer()
         t_batched, got = _best_of(lambda: analyzer.cluster(profile), repeats=2)
-        t_ref, want = _best_of(lambda: analyzer.cluster_reference(profile))
+        t_ref, want = _best_of(lambda: cluster_reference(profile))
         # Bit-identical merge trees: order, clusters, and exact distances.
         assert got.merges == want.merges
         assert got.callpoints == want.callpoints
@@ -193,7 +194,7 @@ class TestPerfClustering:
         profile = _real_instance()
         analyzer = WhirlToolAnalyzer()
         t_batched, got = _best_of(lambda: analyzer.cluster(profile), repeats=3)
-        t_ref, want = _best_of(lambda: analyzer.cluster_reference(profile))
+        t_ref, want = _best_of(lambda: cluster_reference(profile))
         assert got.merges == want.merges  # bit-identical tree
         _record_timings("real_shape_12x4_401", t_batched, t_ref)
         print(

@@ -30,7 +30,6 @@ from repro.core.whirltool import (
     OnlineWhirlTool,
     PhaseDetector,
     WhirlToolAnalyzer,
-    online_pools_reference,
 )
 from repro.ingest import (
     ArraySource,
@@ -39,6 +38,8 @@ from repro.ingest import (
     TraceChunk,
 )
 from repro.obs.timings import infer_unit, record_timings
+
+from oracles.online import online_pools_reference
 
 #: Capture shape: EPOCHS epochs of EPOCH_RECORDS records each.
 EPOCH_RECORDS = 250_000

@@ -2,14 +2,15 @@
 
 Same contract as ``test_perf_profiling.py`` one layer up the stack: the
 vectorized waterfilling allocator must beat (and stay >= 5x faster than)
-the retained chunk-at-a-time oracle on a 64-consumer x 4096-chunk
-instance, while returning bit-identical allocations.  A second pair of
-gates runs curves shaped like the 16-core Fig 22 grid's, whose minimum
-comes early: the hull scan and the allocator must each stay >= 5x faster
-than their oracles there.  A third pair gates the rest of Jigsaw's
-decide path on the 16-core chip: the array reach curve must stay >= 10x
-faster than per-size ``reach_fn`` calls, and the list-based trading
-search >= 1.5x faster than the numpy-scalar oracle in
+the chunk-at-a-time oracle in ``tests/oracles/partition.py`` on a
+64-consumer x 4096-chunk instance, while returning bit-identical
+allocations.  A second pair of gates runs curves shaped like the 16-core
+Fig 22 grid's, whose minimum comes early: the hull scan and the
+allocator must each stay >= 5x faster than their oracles there.  A
+third pair gates the rest of Jigsaw's decide path on the 16-core chip:
+the array reach curve must stay >= 10x faster than per-size
+``reach_fn`` calls, and the list-based trading search >= 1.5x faster
+than the numpy-scalar oracle in
 ``tests/oracles/placement.py``.  Timings are also written as JSON
 (``benchmarks/perf_partition_timings.json``, gitignored) so CI can
 upload them as an artifact; wall-clock numbers stay out of
@@ -20,13 +21,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles.partition import _lower_convex_hull, partition_cost_curves_reference
 from oracles.placement import trading_placement_reference
 
-from repro.curves.miss_curve import _lower_convex_hull, _lower_convex_hull_fast
-from repro.curves.partition import (
-    partition_cost_curves,
-    partition_cost_curves_reference,
-)
+from repro.curves.miss_curve import _lower_convex_hull_fast
+from repro.curves.partition import partition_cost_curves
 from repro.nuca import sixteen_core_config
 from repro.obs.timings import record_timings
 from repro.schemes.placement import PLACE_CHUNK, trading_placement

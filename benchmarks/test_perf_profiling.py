@@ -20,13 +20,12 @@ from repro.curves import (
     StackDistanceProfiler,
     miss_curve_from_distances,
     stack_distances,
-    stack_distances_reference,
 )
 from repro.curves.miss_curve import MissCurve
 from repro.curves.reuse import _distances_from_prev, _prev_occurrence
 from repro.obs.timings import infer_unit, record_timings
 
-from oracles.reuse import distances_from_prev_reference
+from oracles.reuse import distances_from_prev_reference, stack_distances_reference
 
 TIMINGS_PATH = Path(__file__).parent / "perf_profiling_timings.json"
 

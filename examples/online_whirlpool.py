@@ -11,9 +11,10 @@ variant instead:
 2. feed it to :class:`OnlineWhirlTool`, which seals a profiling epoch
    every ``epoch_records`` records, flags phase changes, and revises
    the pool clustering incrementally when they happen;
-3. at end of stream, compare against the offline oracle
-   (:func:`online_pools_reference`) run over the same records — on a
-   sized source the streamed pools are *bit-identical* to it.
+3. at end of stream, compare against the offline pipeline run over
+   the same records — :class:`StackDistanceProfiler`, then
+   :meth:`WhirlToolAnalyzer.cluster` — to which the streamed pools are
+   *bit-identical* when epochs line up with its equal-width intervals.
 
 The CLI equivalent for real captures is::
 
@@ -24,8 +25,9 @@ Run:  python examples/online_whirlpool.py
 
 import numpy as np
 
-from repro.core.whirltool import OnlineWhirlTool, online_pools_reference
-from repro.ingest import ArraySource, IterableSource, TraceChunk
+from repro.core.whirltool import CallpointProfile, OnlineWhirlTool, WhirlToolAnalyzer
+from repro.curves import StackDistanceProfiler
+from repro.ingest import IterableSource, TraceChunk
 
 EPOCH_RECORDS = 2_000
 N_EPOCHS = 9
@@ -86,20 +88,14 @@ def main() -> None:
     print("\nfinal merge tree (streamed):")
     print(final.dendrogram_text())
 
-    # The offline oracle over the same records, via a *sized* source:
-    # equal-width intervals line up with the record-count epochs here,
-    # so the streamed result must match float-for-float.
-    offline = online_pools_reference(
-        ArraySource(
-            addrs=addrs,
-            regions=regions,
-            instructions=float(len(addrs)),
-            region_names=NAMES,
-        ),
-        chunk_bytes=4096,
-        n_chunks=64,
-        sample_shift=0,
-        n_intervals=N_EPOCHS,
+    # The offline pipeline over the same records: equal-width intervals
+    # line up with the record-count epochs here, so the streamed result
+    # must match float-for-float.
+    curves = StackDistanceProfiler(chunk_bytes=4096, n_chunks=64).profile(
+        addrs // 64, regions, float(len(addrs)), n_intervals=N_EPOCHS
+    )
+    offline = WhirlToolAnalyzer().cluster(
+        CallpointProfile(curves=curves, names=NAMES, n_intervals=N_EPOCHS)
     )
     identical = final.merges == offline.merges
     print(f"\nbit-identical to the offline pipeline: {identical}")

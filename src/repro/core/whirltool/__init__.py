@@ -23,13 +23,11 @@ from repro.core.whirltool.analyzer import (
     ClusteringResult,
     IncrementalClusterCache,
     WhirlToolAnalyzer,
-    pool_distance,
 )
 from repro.core.whirltool.online import (
     EpochReport,
     OnlineWhirlTool,
     PhaseDetector,
-    online_pools_reference,
 )
 from repro.core.whirltool.profiler import CallpointProfile, WhirlToolProfiler
 from repro.core.whirltool.runtime import WhirlToolClassifier, train_whirltool
@@ -44,7 +42,5 @@ __all__ = [
     "WhirlToolAnalyzer",
     "WhirlToolClassifier",
     "WhirlToolProfiler",
-    "online_pools_reference",
-    "pool_distance",
     "train_whirltool",
 ]

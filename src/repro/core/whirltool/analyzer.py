@@ -32,11 +32,15 @@ cluster's rate rows and hulls computed once and reused across every
 pair), and each merge computes the merged cluster's row against all
 survivors in a single batch.
 
-:meth:`WhirlToolAnalyzer.cluster_reference` is the original serial loop
-over :func:`pool_distance`, retained as the oracle.  The engine is
-bit-identical to it from any cache state — merge order, distances, and
-tie-breaks (distance, then sorted min-callpoint) — which the property
-tests pin and which keeps the Fig 17 dendrograms byte-stable.
+The engine is the only clustering path: a profile of one callpoint or
+none is already its own tree, and profiles whose callpoints disagree on
+the interval count or the size grid are rejected.  The original serial
+loop, a dict of pairwise distances from the scalar Listing-1 loop and
+the serial optimal split, is the oracle ``cluster_reference`` in
+``tests/oracles/whirltool.py``.  The engine is bit-identical to it from
+any cache state — merge order, distances, and tie-breaks (distance,
+then sorted min-callpoint) — which the property tests pin and which
+keeps the Fig 17 dendrograms byte-stable.
 """
 
 from __future__ import annotations
@@ -47,35 +51,15 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.whirltool.profiler import CallpointProfile
-from repro.curves.combine import combine_miss_curves, combine_rate_rows
-from repro.curves.miss_curve import MissCurve, _lower_convex_hull_fast
-from repro.curves.partition import partitioned_miss_curve, partitioned_rate_rows
+from repro.curves.combine import combine_rate_rows
+from repro.curves.miss_curve import _lower_convex_hull_fast
+from repro.curves.partition import partitioned_rate_rows
 
 __all__ = [
     "IncrementalClusterCache",
     "WhirlToolAnalyzer",
     "ClusteringResult",
-    "pool_distance",
 ]
-
-
-def pool_distance(a: list[MissCurve], b: list[MissCurve]) -> float:
-    """Distance between two pools' per-interval curve series.
-
-    Sum over intervals of the area between the combined and partitioned
-    miss curves, normalized per instruction so intervals are comparable.
-    """
-    if len(a) != len(b):
-        raise ValueError("pools must share the interval grid")
-    total = 0.0
-    for ca, cb in zip(a, b):
-        if ca.accesses == 0 or cb.accesses == 0:
-            continue  # inactive interval: no interference
-        combined = combine_miss_curves(ca, cb)
-        partitioned = partitioned_miss_curve(ca, cb)
-        area = np.sum(combined.misses - partitioned.misses)
-        total += max(float(area), 0.0) / max(combined.instructions, 1e-12)
-    return total
 
 
 def _lane_area_terms(
@@ -261,9 +245,13 @@ class WhirlToolAnalyzer:
         The merge-tree engine on a throwaway
         :class:`IncrementalClusterCache`: one vectorized evaluation fills
         the initial pair-distance matrix, and each merge re-evaluates a
-        single batched row.  Bit-identical to :meth:`cluster_reference`,
-        which also serves degenerate profiles (<= 1 leaf, no intervals,
-        ragged series, mixed grids).
+        single batched row.  Bit-identical to the serial oracle
+        (``cluster_reference`` in ``tests/oracles/whirltool.py``).
+
+        Raises:
+            ValueError: the callpoints' series differ in length, hold no
+                interval, or hold curves on different size grids
+                (``chunk_bytes`` or ``n_chunks``).
         """
         return self._merge_tree(profile, IncrementalClusterCache())
 
@@ -277,13 +265,13 @@ class WhirlToolAnalyzer:
         with the cached one computes only its new intervals; the rest
         replays from ``cache``, which is then pruned to the new tree.
 
-        Bit-identical to :meth:`cluster_reference` on the same profile —
-        merge order, distances, tie-breaks — from any cache state, because
+        Bit-identical to the serial oracle on the same profile — merge
+        order, distances, tie-breaks — from any cache state, because
         per-lane terms are batch-composition-independent
         (:func:`_lane_area_terms`), rate and hull rows are per-interval,
         and the per-pair total accumulates in the same interval order.
-        Degenerate profiles drop the cache and go to
-        :meth:`cluster_reference`.
+        A profile of one callpoint or none drops the cache; the profiles
+        :meth:`cluster` rejects raise here too.
         """
         return self._merge_tree(profile, cache)
 
@@ -301,23 +289,23 @@ class WhirlToolAnalyzer:
         """
         order = sorted(profile.curves)
         n_leaves = len(order)
-        series = [profile.curves[cp] for cp in order]
-        flat = [c for s in series for c in s]
-        n_intervals = len(series[0]) if series else 0
-        if (
-            n_leaves <= 1
-            or n_intervals == 0
-            or any(len(s) != n_intervals for s in series)
-            or any(
-                c.chunk_bytes != flat[0].chunk_bytes
-                or c.n_chunks != flat[0].n_chunks
-                for c in flat
-            )
-        ):
+        result = ClusteringResult(callpoints=order, names=dict(profile.names))
+        if n_leaves <= 1:
+            # No pair to merge; the cache holds another profile's tree.
             cache.invalidate()
-            return self.cluster_reference(profile)
+            return result
+        series = [profile.curves[cp] for cp in order]
+        n_intervals = len(series[0])
+        if any(len(s) != n_intervals for s in series):
+            raise ValueError("pools must share the interval grid")
+        if n_intervals == 0:
+            raise ValueError("profile has no intervals to cluster")
+        grid = (series[0][0].chunk_bytes, series[0][0].n_chunks)
+        if any((c.chunk_bytes, c.n_chunks) != grid for s in series for c in s):
+            raise ValueError(
+                "curves must share one size grid (chunk_bytes, n_chunks)"
+            )
 
-        grid = (flat[0].chunk_bytes, flat[0].n_chunks)
         if cache.grid != grid or any(
             len(rates) > n_intervals for rates, __ in cache.pools.values()
         ):
@@ -358,7 +346,7 @@ class WhirlToolAnalyzer:
             track(cp)
 
         def pair_distances(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-            """Batched ``pool_distance`` over cluster-index pairs.
+            """Pool distances for a batch of cluster-index pairs.
 
             Each pair's cached terms replay; its unseen intervals where
             both pools are active become lanes, and the whole batch's
@@ -404,9 +392,6 @@ class WhirlToolAnalyzer:
         alive = np.zeros(total_clusters, dtype=bool)
         alive[:n_leaves] = True
 
-        result = ClusteringResult(
-            callpoints=profile.callpoints, names=dict(profile.names)
-        )
         for step in range(1, n_leaves):
             live = np.flatnonzero(alive)
             sub = dist[np.ix_(live, live)]
@@ -463,46 +448,4 @@ class WhirlToolAnalyzer:
         # it evaluated.
         cache.pools = {key: cache.pools[key] for key in keys}
         cache.terms = {key: cache.terms[key] for key in evaluated}
-        return result
-
-    def cluster_reference(self, profile: CallpointProfile) -> ClusteringResult:
-        """The serial merge-tree construction (the oracle).
-
-        O(n^2) pairwise :func:`pool_distance` calls into a dict-keyed
-        table, updated incrementally — fine for the 10s-100s of
-        callpoints real applications have, and the ground truth the
-        batched :meth:`cluster` is pinned against.
-        """
-        pools: dict[frozenset, list[MissCurve]] = {
-            frozenset({cp}): series for cp, series in profile.curves.items()
-        }
-        result = ClusteringResult(
-            callpoints=profile.callpoints, names=dict(profile.names)
-        )
-        # Pairwise distance table, updated incrementally.
-        dist: dict[tuple[frozenset, frozenset], float] = {}
-        keys = sorted(pools, key=min)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1 :]:
-                dist[(a, b)] = pool_distance(pools[a], pools[b])
-        while len(pools) > 1:
-            (a, b), d = min(dist.items(), key=lambda kv: (kv[1], sorted(map(min, kv[0]))))
-            result.merges.append((a, b, d))
-            merged_key = frozenset(a | b)
-            merged_curves = [
-                combine_miss_curves(ca, cb)
-                for ca, cb in zip(pools[a], pools[b])
-            ]
-            del pools[a]
-            del pools[b]
-            dist = {
-                pair: v
-                for pair, v in dist.items()
-                if a not in pair and b not in pair
-            }
-            for other in list(pools):
-                dist[(merged_key, other)] = pool_distance(
-                    merged_curves, pools[other]
-                )
-            pools[merged_key] = merged_curves
         return result

@@ -16,8 +16,8 @@ Profiling intervals become *epochs* sealed as data passes them:
   the offline profile — and therefore the offline
   :meth:`~repro.core.whirltool.analyzer.WhirlToolAnalyzer.cluster` —
   bit-identically (merge order, distances, tie-breaks), for any chunk
-  size.  :func:`online_pools_reference` is that offline oracle,
-  retained for the differential tests.
+  size.  ``online_pools_reference`` in ``tests/oracles/online.py`` is
+  that offline pipeline, the differential tests' oracle.
 - **Unbounded sources** (``n_records`` is ``None``: live pipes,
   growing files, generators) get fixed-size record-count epochs
   appended open-endedly (:meth:`~repro.ingest.stream.StreamingProfile.
@@ -52,7 +52,6 @@ from repro.core.whirltool.analyzer import (
 )
 from repro.core.whirltool.profiler import CallpointProfile
 from repro.curves.miss_curve import MissCurve
-from repro.curves.reuse import StackDistanceProfiler
 from repro.ingest.source import DEFAULT_CHUNK_RECORDS, TraceChunk, TraceSource
 from repro.ingest.stream import StreamingProfile, StreamingStackProfiler
 
@@ -60,7 +59,6 @@ __all__ = [
     "EpochReport",
     "OnlineWhirlTool",
     "PhaseDetector",
-    "online_pools_reference",
 ]
 
 #: Default records per epoch for unbounded sources.
@@ -332,8 +330,10 @@ class OnlineWhirlTool:
         """Stream a whole source through start / push / finish.
 
         Streaming a *sized* source to completion yields pools
-        bit-identical to :func:`online_pools_reference` — the offline
-        profile-then-cluster pipeline — for any ``chunk_records``.
+        bit-identical to the offline profile-then-cluster pipeline
+        (:class:`~repro.curves.reuse.StackDistanceProfiler`, then
+        :meth:`~repro.core.whirltool.analyzer.WhirlToolAnalyzer.cluster`)
+        for any ``chunk_records``.
         """
         self.start(source)
         for chunk in source.chunks(chunk_records):
@@ -437,66 +437,3 @@ class OnlineWhirlTool:
         self._result = self.analyzer.cluster_incremental(
             self.profile(), self._cache
         )
-
-
-def online_pools_reference(
-    source: TraceSource,
-    chunk_bytes: int = 64 * 1024,
-    n_chunks: int = 400,
-    sample_shift: int = 3,
-    n_intervals: int = 8,
-    instructions: float | None = None,
-    mapping: dict[int, int] | None = None,
-) -> ClusteringResult:
-    """The offline oracle for :meth:`OnlineWhirlTool.run`.
-
-    Materializes the (sized) source in memory, profiles it with the
-    one-shot :class:`~repro.curves.reuse.StackDistanceProfiler`, and
-    clusters with the batch :meth:`~repro.core.whirltool.analyzer.
-    WhirlToolAnalyzer.cluster` — the pre-online pipeline, retained so
-    the differential tests can pin the streamed result bit-identical to
-    it (merge order, distances, tie-breaks) for any chunking.
-    """
-    if instructions is None:
-        instructions = source.instructions
-    if instructions is None or instructions <= 0:
-        raise ValueError(
-            "source carries no instruction count; pass instructions="
-        )
-    n_total = source.n_records
-    if n_total is None:
-        raise ValueError(
-            "the offline oracle needs a sized, replayable source"
-        )
-    if n_total <= 0:
-        raise ValueError("source yielded no records")
-    addr_parts: list[np.ndarray] = []
-    region_parts: list[np.ndarray] = []
-    for chunk in source.chunks():
-        addr_parts.append(chunk.addrs)
-        region_parts.append(
-            chunk.regions
-            if chunk.regions is not None
-            else np.zeros(len(chunk), dtype=np.int32)
-        )
-    lines = np.concatenate(addr_parts) // source.line_bytes
-    regions = np.concatenate(region_parts)
-    if mapping is not None:
-        from repro.sim.profiling import relabel_regions
-
-        regions = relabel_regions(regions, mapping)
-    profiler = StackDistanceProfiler(
-        chunk_bytes=chunk_bytes,
-        n_chunks=n_chunks,
-        line_bytes=source.line_bytes,
-        sample_shift=sample_shift,
-    )
-    curves = profiler.profile(
-        lines, regions, instructions, n_intervals=n_intervals
-    )
-    profile = CallpointProfile(
-        curves=curves,
-        names=dict(source.region_names),
-        n_intervals=n_intervals,
-    )
-    return WhirlToolAnalyzer().cluster(profile)

@@ -8,62 +8,47 @@ distance metric is defined through combined vs. partitioned miss curves
 
 Modules
 -------
-- :mod:`repro.curves.fenwick` — Fenwick (binary indexed) tree.
 - :mod:`repro.curves.reuse` — stack-distance (reuse-distance) profiling:
-  a vectorized batched Mattson engine, the per-access Fenwick reference
-  oracle, and the address-sampled approximation.
+  a vectorized batched Mattson engine and the address-sampled
+  approximation.
 - :mod:`repro.curves.miss_curve` — the :class:`MissCurve` container.
 - :mod:`repro.curves.combine` — Appendix B / Listing 1 combined-curve model.
 - :mod:`repro.curves.partition` — convex-hull capacity partitioning and
   partitioned miss curves.
 - :mod:`repro.curves.latency` — end-to-end latency (data-stall CPI) curves.
+
+Each kernel has one implementation here; the serial loops they replaced
+are the oracles under ``tests/oracles/``, pinned bit-identical to them.
 """
 
-from repro.curves.combine import (
-    combine_many,
-    combine_miss_curves,
-    combine_miss_curves_batch,
-    shared_cache_misses,
-    shared_cache_misses_reference,
-)
-from repro.curves.fenwick import FenwickTree
+from repro.curves.combine import combine_miss_curves, shared_cache_misses
 from repro.curves.gmon import GMON, quantize_curve
 from repro.curves.latency import LatencyModel, latency_curve
 from repro.curves.miss_curve import MissCurve, interp_rows
 from repro.curves.partition import (
     partition_capacity,
     partition_cost_curves,
-    partition_cost_curves_reference,
     partitioned_miss_curve,
-    partitioned_miss_curve_batch,
 )
 from repro.curves.reuse import (
     StackDistanceProfiler,
     miss_curve_from_distances,
     stack_distances,
-    stack_distances_reference,
 )
 
 __all__ = [
-    "FenwickTree",
     "GMON",
     "quantize_curve",
     "LatencyModel",
     "MissCurve",
     "StackDistanceProfiler",
-    "combine_many",
     "combine_miss_curves",
-    "combine_miss_curves_batch",
     "interp_rows",
     "latency_curve",
     "miss_curve_from_distances",
     "partition_capacity",
     "partition_cost_curves",
-    "partition_cost_curves_reference",
     "partitioned_miss_curve",
-    "partitioned_miss_curve_batch",
     "shared_cache_misses",
-    "shared_cache_misses_reference",
     "stack_distances",
-    "stack_distances_reference",
 ]

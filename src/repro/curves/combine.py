@@ -10,8 +10,8 @@ The model is commutative, associative (up to grid interpolation error),
 and idempotent on self-similar splits — properties exercised by the unit
 and property tests, and shown in Fig 23.
 
-Like the profiler and the partitioner one layer down, the module is
-organized as a batched engine plus retained serial oracles:
+Like the profiler and the partitioner one layer down, the module is a
+batched engine and the curve-level calls built on it:
 
 - :func:`combine_rate_rows` — the batched kernel.  The read-head
   recurrence is inherently sequential over the ``n + 1`` grid steps.  A
@@ -22,34 +22,32 @@ organized as a batched engine plus retained serial oracles:
 - :func:`advance_flow_heads` — the K-way head-advance kernel shared with
   S-NUCA's shared-cache accounting: all ``K × B`` read heads move as one
   array per capacity step, with an all-flows-zero early exit.
-- :func:`combine_miss_curves_batch` / :func:`shared_cache_misses` — the
-  :class:`MissCurve`-level consumers of those kernels.
-- :func:`combine_miss_curves` / :func:`shared_cache_misses_reference` —
-  the original scalar loops, retained as differential-testing oracles;
-  the Hypothesis suites pin the batched paths bit-identical to them.
+- :func:`combine_miss_curves` / :func:`shared_cache_misses` — the
+  :class:`MissCurve`-level calls: one lane of the first kernel, and one
+  batch lane of the second.
+
+The scalar loops these replaced are the oracles in
+``tests/oracles/combine.py``; the Hypothesis suites pin every kernel
+bit-identical to them.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.curves.miss_curve import (
     MissCurve,
+    _pair_curve,
+    _pair_rates,
     _row_reader,
     interp_rows,
-    map_pair_batches,
 )
 
 __all__ = [
     "advance_flow_heads",
-    "combine_many",
     "combine_miss_curves",
-    "combine_miss_curves_batch",
     "combine_rate_rows",
     "shared_cache_misses",
-    "shared_cache_misses_reference",
 ]
 
 #: Batches of at most this many lanes run lane by lane in Python floats
@@ -74,49 +72,6 @@ def _read(curve: np.ndarray | list[float], pos: float) -> float:
     return float(curve[lo] * (1 - frac) + curve[lo + 1] * frac)
 
 
-def combine_miss_curves(a: MissCurve, b: MissCurve) -> MissCurve:
-    """Combined miss curve of two pools sharing one cache (Listing 1).
-
-    Both inputs must share the same grid.  The result is on the same grid;
-    sizes past the sum of the two working sets saturate at the sum of the
-    inputs' floor miss rates.
-
-    This is the scalar per-grid-step loop, retained as the oracle for
-    :func:`combine_miss_curves_batch` (which is bit-identical to it).
-    """
-    if a.chunk_bytes != b.chunk_bytes:
-        raise ValueError("curves must share chunk_bytes")
-    n = max(a.n_chunks, b.n_chunks)
-    m1 = a.extended(n).misses if a.n_chunks < n else a.misses
-    m2 = b.extended(n).misses if b.n_chunks < n else b.misses
-
-    # Rates must be comparable: normalize each curve to misses per
-    # instruction so pools profiled over different windows combine sanely.
-    r1 = m1 / max(a.instructions, 1e-12)
-    r2 = m2 / max(b.instructions, 1e-12)
-    instructions = max(a.instructions, b.instructions)
-
-    out = np.empty(n + 1, dtype=np.float64)
-    s1 = 0.0
-    s2 = 0.0
-    for s in range(n + 1):
-        f1 = _read(r1, s1)
-        f2 = _read(r2, s2)
-        f = f1 + f2
-        out[s] = f
-        if f > 0:
-            s1 += f1 / f
-            s2 += f2 / f
-        # If the combined flow is zero both streams have stopped missing;
-        # the read heads stay put and the curve stays at zero.
-    return MissCurve(
-        misses=out * instructions,
-        chunk_bytes=a.chunk_bytes,
-        accesses=a.accesses + b.accesses,
-        instructions=instructions,
-    )
-
-
 def _check_finite(*rows: np.ndarray) -> None:
     """Reject NaN and infinite rate rows before any read head moves."""
     for r in rows:
@@ -127,7 +82,8 @@ def _check_finite(*rows: np.ndarray) -> None:
 def _combine_lane(r1: list[float], r2: list[float]) -> list[float]:
     """One lane of :func:`combine_rate_rows`, in Python floats.
 
-    Bit-identical to the step loop and to :func:`combine_miss_curves`:
+    Bit-identical to the step loop and to the scalar Listing-1 oracle
+    (``combine_miss_curves_reference`` in ``tests/oracles/combine.py``):
     ``tolist()`` turns float64 into Python floats exactly (``-0.0``
     included), Python float arithmetic is IEEE double, and each step is
     the oracle's own expressions — :func:`_read`'s interpolation, the
@@ -164,8 +120,8 @@ def combine_rate_rows(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
     Returns:
         ``(B, n + 1)`` combined rate rows.  Each row is bit-identical to
-        the scalar loop in :func:`combine_miss_curves` on the same pair,
-        whichever loop runs it: a batch of at most
+        the scalar Listing-1 oracle on the same pair, whichever loop runs
+        it: a batch of at most
         ``_LANE_LOOP_MAX_BATCH`` lanes goes through :func:`_combine_lane`
         one lane at a time, a wider one through a step loop that
         evaluates the same IEEE expressions elementwise across the batch.
@@ -204,32 +160,17 @@ def combine_rate_rows(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _combined_group_rows(
-    group: list[tuple[MissCurve, MissCurve]], n: int
-) -> np.ndarray:
-    """One group's combined rate rows for :func:`map_pair_batches`."""
-    rows1 = np.empty((len(group), n + 1))
-    rows2 = np.empty((len(group), n + 1))
-    for row, (a, b) in enumerate(group):
-        m1 = a.extended(n).misses if a.n_chunks < n else a.misses
-        m2 = b.extended(n).misses if b.n_chunks < n else b.misses
-        rows1[row] = m1 / max(a.instructions, 1e-12)
-        rows2[row] = m2 / max(b.instructions, 1e-12)
-    return combine_rate_rows(rows1, rows2)
+def combine_miss_curves(a: MissCurve, b: MissCurve) -> MissCurve:
+    """Combined miss curve of two pools sharing one cache (Listing 1).
 
-
-def combine_miss_curves_batch(
-    pairs: Sequence[tuple[MissCurve, MissCurve]],
-) -> list[MissCurve]:
-    """Run ``B`` pair-combines at once; bit-identical to the serial oracle.
-
-    Pairs are grouped by their common grid length (``max(n_chunks)`` per
-    pair, matching the serial extension rule) and each group runs through
-    :func:`combine_rate_rows` in one batch.  Results come back in input
-    order and equal ``combine_miss_curves(a, b)`` exactly — misses,
-    accesses, and instructions.
+    Both inputs must share ``chunk_bytes``; the shorter grid is extended
+    with its last value, and the result is on the longer one.  Sizes past
+    the sum of the two working sets saturate at the sum of the inputs'
+    floor miss rates.  One lane of :func:`combine_rate_rows` on the
+    pair's per-instruction rates.
     """
-    return map_pair_batches(pairs, _combined_group_rows)
+    r1, r2 = _pair_rates(a, b)
+    return _pair_curve(combine_rate_rows(r1[None], r2[None])[0], a, b)
 
 
 def advance_flow_heads(
@@ -292,8 +233,8 @@ def shared_cache_misses(
     read at its final head position.
 
     All ``K`` heads move as one array per step (via
-    :func:`advance_flow_heads`); bit-identical to the retained scalar
-    loop :func:`shared_cache_misses_reference`.
+    :func:`advance_flow_heads`); bit-identical to the scalar flow loop,
+    ``shared_cache_misses_reference`` in ``tests/oracles/combine.py``.
     """
     if not curves:
         return []
@@ -312,62 +253,3 @@ def shared_cache_misses(
     heads = advance_flow_heads(rates, included, int(size_bytes // chunk))
     finals = interp_rows(rates, heads)
     return [float(v) * c.instructions for v, c in zip(finals, curves)]
-
-
-def shared_cache_misses_reference(
-    curves: list[MissCurve], size_bytes: float
-) -> list[float]:
-    """The pre-vectorization scalar flow loop (the oracle).
-
-    Same contract as :func:`shared_cache_misses`; advances one head at a
-    time with python-float arithmetic.  Retained for differential tests.
-    """
-    if not curves:
-        return []
-    chunk = curves[0].chunk_bytes
-    if any(c.chunk_bytes != chunk for c in curves):
-        raise ValueError("curves must share chunk_bytes")
-    n = max(c.n_chunks for c in curves)
-    rates = [
-        (c.extended(n).misses if c.n_chunks < n else c.misses)
-        / max(c.instructions, 1e-12)
-        for c in curves
-    ]
-    heads = [0.0] * len(curves)
-    steps = int(size_bytes // chunk)
-    for __ in range(steps):
-        flows = [_read(r, h) for r, h in zip(rates, heads)]
-        f = sum(flows)
-        if f <= 0:
-            break
-        for i, flow in enumerate(flows):
-            heads[i] += flow / f
-    return [
-        float(_read(r, h)) * c.instructions
-        for r, h, c in zip(rates, heads, curves)
-    ]
-
-
-def combine_many(curves: list[MissCurve]) -> MissCurve:
-    """Combine a list of curves as a balanced tree of batched combines.
-
-    Each tree level pairs adjacent curves and runs all of that level's
-    combines through :func:`combine_miss_curves_batch` at once (an odd
-    leftover is carried to the next level), so the python-level work is
-    ``O(log K)`` batched calls instead of a ``K``-long serial chain.  The
-    model is only associative up to grid interpolation error, so the
-    tree's values can differ slightly from a left fold's; the tree also
-    keeps that error balanced instead of compounding it linearly.
-    """
-    if not curves:
-        raise ValueError("combine_many requires at least one curve")
-    level = list(curves)
-    while len(level) > 1:
-        pairs = [
-            (level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)
-        ]
-        combined = combine_miss_curves_batch(pairs)
-        if len(level) % 2:
-            combined.append(level[-1])
-        level = combined
-    return level[0]

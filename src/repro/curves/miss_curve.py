@@ -140,9 +140,8 @@ class MissCurve:
         The hull is the best achievable misses-vs-size tradeoff when the
         curve's own capacity may be internally partitioned (Talus); it is
         what the capacity partitioner and WhirlTool's distance metric
-        consume.  Computed with a linear-time monotone-chain scan (the
-        run-skipping :func:`_lower_convex_hull_fast` variant, bit-identical
-        to :func:`_lower_convex_hull`) and cached read-only: every caller,
+        consume.  Computed with the run-skipping monotone-chain scan
+        :func:`_lower_convex_hull_fast` and cached read-only: every caller,
         and every job sharing a memoized curve, reads the same array.
         """
         if self._hull_cache is None:
@@ -212,43 +211,34 @@ class MissCurve:
         )
 
 
-def map_pair_batches(
-    pairs: Iterable[tuple["MissCurve", "MissCurve"]],
-    rows_fn: Callable[[list[tuple["MissCurve", "MissCurve"]], int], np.ndarray],
-) -> list["MissCurve"]:
-    """Shared scaffolding for the batched pair-curve engines.
+def _pair_rates(a: MissCurve, b: MissCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Both curves of a pair as rate rows (misses per instruction).
 
-    Validates that each pair shares ``chunk_bytes``, groups pairs by the
-    serial pair-model grid (``max(n_chunks)``), calls ``rows_fn(group,
-    n)`` once per group for the ``(B, n + 1)`` result *rate* rows (one
-    per pair, in group order), and boxes each row as a
-    :class:`MissCurve` with the serial pair rules — ``instructions =
-    max`` of the pair, ``accesses`` summed, misses = rate row ×
-    instructions.  Both the batched combine and the batched
-    partitioned-split engines run through this driver so the grouping
-    and boxing rules cannot drift apart.
+    The pair models (Listing 1's combine, the optimal split) read both
+    curves on the longer of the two grids, the shorter one held at its
+    last value, and normalize counts to rates so that curves profiled
+    over different windows are comparable.
     """
-    pairs = list(pairs)
-    results: list[MissCurve | None] = [None] * len(pairs)
-    by_grid: dict[tuple[int, int], list[int]] = {}
-    for k, (a, b) in enumerate(pairs):
-        if a.chunk_bytes != b.chunk_bytes:
-            raise ValueError("curves must share chunk_bytes")
-        n = max(a.n_chunks, b.n_chunks)
-        by_grid.setdefault((a.chunk_bytes, n), []).append(k)
-    for (chunk, n), idxs in by_grid.items():
-        group = [pairs[k] for k in idxs]
-        rows = rows_fn(group, n)
-        instr = np.array([max(a.instructions, b.instructions) for a, b in group])
-        misses = rows * instr[:, None]
-        for row, (k, (a, b)) in enumerate(zip(idxs, group)):
-            results[k] = MissCurve(
-                misses=misses[row],
-                chunk_bytes=chunk,
-                accesses=a.accesses + b.accesses,
-                instructions=float(instr[row]),
-            )
-    return results  # type: ignore[return-value]
+    if a.chunk_bytes != b.chunk_bytes:
+        raise ValueError("curves must share chunk_bytes")
+    n = max(a.n_chunks, b.n_chunks)
+    ra, rb = (
+        (c.extended(n).misses if c.n_chunks < n else c.misses)
+        / max(c.instructions, 1e-12)
+        for c in (a, b)
+    )
+    return ra, rb
+
+
+def _pair_curve(rates: np.ndarray, a: MissCurve, b: MissCurve) -> MissCurve:
+    """A pair model's rate row as a curve: the pair's longer window, summed accesses."""
+    instructions = max(a.instructions, b.instructions)
+    return MissCurve(
+        misses=rates * instructions,
+        chunk_bytes=a.chunk_bytes,
+        accesses=a.accesses + b.accesses,
+        instructions=instructions,
+    )
 
 
 def interp_rows(matrix: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -301,33 +291,6 @@ def _row_reader(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return read
 
 
-def _lower_convex_hull(values: np.ndarray) -> np.ndarray:
-    """Lower convex hull of ``values`` sampled at integer x positions.
-
-    Monotone-chain over the points (i, values[i]); returns the hull
-    re-sampled back onto every integer position (piecewise-linear).
-    """
-    n = len(values)
-    if n <= 2:
-        return values.astype(np.float64).copy()
-    # Hull vertex stack: indices into `values`.
-    stack: list[int] = []
-    for i in range(n):
-        while len(stack) >= 2:
-            i0, i1 = stack[-2], stack[-1]
-            # Keep i1 only if it lies strictly below segment (i0 -> i).
-            lhs = (values[i1] - values[i0]) * (i - i0)
-            rhs = (values[i] - values[i0]) * (i1 - i0)
-            if lhs >= rhs:  # i1 is on/above the chord: drop it
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    xs = np.asarray(stack, dtype=np.float64)
-    ys = values[stack].astype(np.float64)
-    return np.interp(np.arange(n, dtype=np.float64), xs, ys)
-
-
 def _first_minimum(values: np.ndarray) -> int:
     """First argmin, or the last index if NaN, inf or chord-test overflow is possible."""
     m = int(values.argmin())
@@ -337,9 +300,12 @@ def _first_minimum(values: np.ndarray) -> int:
 
 
 def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
-    """Fast lower convex hull, bit-identical to :func:`_lower_convex_hull`.
+    """Lower convex hull of ``values`` sampled at integer x positions.
 
-    Runs the same monotone-chain scan with three exact accelerations:
+    Monotone-chain over the points ``(i, values[i])``, re-sampled back
+    onto every integer position (piecewise-linear).  It is bit-identical
+    to the plain scan, the reference oracle in
+    ``tests/oracles/partition.py``, with three exact accelerations:
 
     - When every value after the first minimum ``m`` equals ``values[m]``
       (every miss curve and rate row: they are non-increasing), only

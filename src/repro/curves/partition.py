@@ -9,78 +9,41 @@ cost-vs-size curves, hand out capacity chunks in order of marginal gain.
 On convex curves the greedy is optimal; we always take convex hulls first,
 which the paper justifies via Talus-style intra-VC partitioning.
 
-Two interchangeable engines implement the greedy:
+Two vectorized kernels implement the greedy:
 
-- :func:`partition_cost_curves` — the vectorized allocator: batched
-  convex hulls, then one global sort of every consumer's marginal-gain
-  segments (each hull's gains are non-increasing, so a k-way merge of
-  the per-consumer streams *is* a global descending sort) and a single
-  ``bincount`` to turn the selected gains into sizes.
-- :func:`partition_cost_curves_reference` — the original chunk-at-a-time
-  ``heapq`` greedy, retained as the oracle: the property tests pin the
-  vectorized engine bit-identical to it, and the perf-smoke benchmark
-  gates CI on the speedup.
+- :func:`partition_cost_curves` — the allocator: batched convex hulls,
+  then one global sort of every consumer's marginal-gain segments (each
+  hull's gains are non-increasing, so a k-way merge of the per-consumer
+  streams *is* a global descending sort) and a single ``bincount`` to
+  turn the selected gains into sizes.
+- :func:`partitioned_rate_rows` — the two-consumer optimal split for a
+  batch of pairs, one row-wise sort of merged gains per pair; WhirlTool's
+  clustering runs it, and :func:`partitioned_miss_curve` is one row of it.
+
+The chunk-at-a-time ``heapq`` greedy and the serial merged-gains scan
+they replaced are the oracles in ``tests/oracles/partition.py``: the
+property tests pin both kernels bit-identical to them, and the
+perf-smoke benchmark gates CI on the allocator's speedup.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from repro.curves.miss_curve import (
     MissCurve,
     _first_minimum,
-    _lower_convex_hull,
     _lower_convex_hull_fast,
-    map_pair_batches,
+    _pair_curve,
+    _pair_rates,
 )
 
 __all__ = [
     "partition_capacity",
     "partition_cost_curves",
-    "partition_cost_curves_reference",
     "partitioned_miss_curve",
-    "partitioned_miss_curve_batch",
     "partitioned_rate_rows",
 ]
-
-
-def _merge_gains_heapq(hulls: list[np.ndarray], total_chunks: int) -> list[int]:
-    """Chunk-at-a-time greedy over per-consumer hulls (the oracle merge)."""
-    sizes = [0] * len(hulls)
-    # Max-heap of (negative marginal gain, consumer, next size).
-    heap: list[tuple[float, int, int]] = []
-    for k, hull in enumerate(hulls):
-        if len(hull) > 1:
-            gain = hull[0] - hull[1]
-            heapq.heappush(heap, (-gain, k, 1))
-    remaining = total_chunks
-    while remaining > 0 and heap:
-        neg_gain, k, nxt = heapq.heappop(heap)
-        if -neg_gain <= 0.0:
-            break  # no curve benefits from more capacity
-        sizes[k] = nxt
-        remaining -= 1
-        hull = hulls[k]
-        if nxt + 1 < len(hull):
-            gain = hull[nxt] - hull[nxt + 1]
-            heapq.heappush(heap, (-gain, k, nxt + 1))
-    return sizes
-
-
-def partition_cost_curves_reference(
-    cost_curves: list[np.ndarray], total_chunks: int
-) -> tuple[list[int], float]:
-    """The pre-vectorization allocator (per-curve hulls + heapq greedy).
-
-    Kept as the differential-testing oracle for
-    :func:`partition_cost_curves`; same contract, no input validation.
-    """
-    hulls = [_lower_convex_hull(np.asarray(c, dtype=np.float64)) for c in cost_curves]
-    sizes = _merge_gains_heapq(hulls, total_chunks)
-    total_cost = sum(float(h[s]) for h, s in zip(hulls, sizes))
-    return sizes, total_cost
 
 
 def partition_cost_curves(
@@ -184,8 +147,9 @@ def partitioned_rate_rows(
     Returns:
         ``(B, n + 1)`` rows where ``row[S]`` is the minimum total rate
         from splitting ``S`` chunks between the pair's hulls.  Each row
-        is bit-identical to the serial merged-gains scan in
-        :func:`partitioned_miss_curve`: one row-wise sort of the merged
+        is bit-identical to the serial merged-gains scan
+        (``partitioned_miss_curve_reference`` in
+        ``tests/oracles/partition.py``): one row-wise sort of the merged
         marginal gains and one cumsum per pair, clipped at the pair's
         floor rate.
     """
@@ -216,46 +180,6 @@ def partitioned_rate_rows(
     return best
 
 
-def partitioned_miss_curve_batch(
-    pairs: list[tuple[MissCurve, MissCurve]],
-) -> list[MissCurve]:
-    """Run ``B`` optimal-split curves at once; bit-identical to the oracle.
-
-    Pairs are grouped by their common grid; within a group each distinct
-    curve's rate hull is primed once with the run-skipping monotone-chain
-    hull (``_lower_convex_hull_fast``, bit-identical to the reference
-    scan) and reused across every pair it appears in, then one
-    :func:`partitioned_rate_rows` call covers the whole group.  Results
-    equal ``partitioned_miss_curve(a, b)`` exactly.
-    """
-    return map_pair_batches(pairs, _partitioned_group_rows)
-
-
-def _partitioned_group_rows(
-    group: list[tuple[MissCurve, MissCurve]], n: int
-) -> np.ndarray:
-    """One group's optimal-split rows for :func:`map_pair_batches`.
-
-    Hull priming: one hull per distinct curve in the group, not per
-    pair, so a curve appearing in many pairs is hulled once.
-    """
-    hull_cache: dict[int, np.ndarray] = {}
-
-    def rate_hull(c: MissCurve) -> np.ndarray:
-        cached = hull_cache.get(id(c))
-        if cached is None:
-            ext = c.extended(n) if c.n_chunks < n else c
-            cached = _lower_convex_hull_fast(
-                ext.misses / max(c.instructions, 1e-12)
-            )
-            hull_cache[id(c)] = cached
-        return cached
-
-    rows_a = np.stack([rate_hull(a) for a, __ in group])
-    rows_b = np.stack([rate_hull(b) for __, b in group])
-    return partitioned_rate_rows(rows_a, rows_b)
-
-
 def partitioned_miss_curve(a: MissCurve, b: MissCurve) -> MissCurve:
     """Miss curve of two pools under *optimal partitioning* (paper Sec 4.2).
 
@@ -265,30 +189,11 @@ def partitioned_miss_curve(a: MissCurve, b: MissCurve) -> MissCurve:
     the two is WhirlTool's distance metric.
 
     Normalization matches :func:`repro.curves.combine.combine_miss_curves`
-    so the two curves can be subtracted directly.
+    so the two curves can be subtracted directly.  One row of
+    :func:`partitioned_rate_rows` over the pair's rate hulls.
     """
-    if a.chunk_bytes != b.chunk_bytes:
-        raise ValueError("curves must share chunk_bytes")
-    n = max(a.n_chunks, b.n_chunks)
-    ca = a.extended(n) if a.n_chunks < n else a
-    cb = b.extended(n) if b.n_chunks < n else b
-    instructions = max(a.instructions, b.instructions)
-    ra = _lower_convex_hull(ca.misses / max(a.instructions, 1e-12))
-    rb = _lower_convex_hull(cb.misses / max(b.instructions, 1e-12))
-    gains_a = -np.diff(ra)
-    gains_b = -np.diff(rb)
-    merged = np.sort(np.concatenate([gains_a, gains_b]))[::-1]
-    # Best total rate at S chunks = floor rate - sum of the S best gains,
-    # clipped at the number of useful chunks.
-    best = np.empty(n + 1, dtype=np.float64)
-    best[0] = ra[0] + rb[0]
-    cum = np.cumsum(merged[:n]) if n > 0 else np.array([])
-    best[1:] = best[0] - cum
-    floor = ra[-1] + rb[-1]
-    np.clip(best, floor, None, out=best)
-    return MissCurve(
-        misses=best * instructions,
-        chunk_bytes=a.chunk_bytes,
-        accesses=a.accesses + b.accesses,
-        instructions=instructions,
+    ra, rb = _pair_rates(a, b)
+    best = partitioned_rate_rows(
+        _lower_convex_hull_fast(ra)[None], _lower_convex_hull_fast(rb)[None]
     )
+    return _pair_curve(best[0], a, b)

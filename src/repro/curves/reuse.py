@@ -9,27 +9,24 @@ curve per VC; here we compute it in software, exactly or approximately
 via address sampling, which is both faster and closer to what a sampled
 hardware monitor sees.
 
-Two exact engines are provided:
+The exact engine, :func:`stack_distances`, reduces Mattson's algorithm
+to offline 2D dominance counting: with ``prev[i]`` the index of the
+previous access to ``lines[i]`` (or -1), every distinct line in the
+reuse window of a re-touch has exactly one first-touch inside the
+window, so its distance is::
 
-- :func:`stack_distances` — the production engine.  Mattson's algorithm
-  reduces to offline 2D dominance counting: with ``prev[i]`` the index of
-  the previous access to ``lines[i]`` (or -1), every distinct line in the
-  reuse window of a re-touch has exactly one first-touch inside the
-  window, so its distance is::
+    #{j < i : prev[j] <= prev[i]} - (prev[i] + 1)
 
-      #{j < i : prev[j] <= prev[i]} - (prev[i] + 1)
-
-  A first touch (``prev < 0``) before ``i`` always counts, so only the
-  re-touches enter the sweep (:func:`_distances_from_prev`).  Their
-  dominance counts are resolved at once by a batched wavelet sweep over
-  position bits (:func:`_dominance_counts`) whose last six bits, on
-  large sweeps, are counted with one 64-bit bitmap per row of 64
-  accesses (``np.bitwise_count``, hence numpy >= 2.0).  That is
-  O(n log n) work with NumPy-level constants and no per-access Python
-  loop.
-- :func:`stack_distances_reference` — the original per-access Fenwick
-  sweep, kept as a slow, independently-derived oracle for tests and the
-  perf gate.
+A first touch (``prev < 0``) before ``i`` always counts, so only the
+re-touches enter the sweep (:func:`_distances_from_prev`).  Their
+dominance counts are resolved at once by a batched wavelet sweep over
+position bits (:func:`_dominance_counts`) whose last six bits, on large
+sweeps, are counted with one 64-bit bitmap per row of 64 accesses
+(``np.bitwise_count``, hence numpy >= 2.0).  That is O(n log n) work
+with NumPy-level constants and no per-access Python loop.  The original
+per-access Fenwick sweep it replaced is a slow, independently-derived
+oracle for tests and the perf gate (``stack_distances_reference`` in
+``tests/oracles/reuse.py``).
 
 The bookkeeping around the sweep avoids full-trace stable sorts and
 hash tables.  Previous occurrences come from one quicksort of distinct
@@ -48,7 +45,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.curves.fenwick import FenwickTree
 from repro.curves.miss_curve import MissCurve
 
 __all__ = [
@@ -58,7 +54,6 @@ __all__ = [
     "miss_curve_from_bucket_counts",
     "miss_curve_from_distances",
     "stack_distances",
-    "stack_distances_reference",
 ]
 
 #: Stack distance reported for cold (first-touch) accesses.
@@ -71,36 +66,6 @@ COLD = np.iinfo(np.int64).max
 #: binary levels vs bitmap finish): 788 elements 0.33 vs 0.30 ms, 1,050
 #: 0.47 vs 0.38 ms, 2,100 0.77 vs 0.55 ms, 48,301 14.5 vs 10.3 ms.
 _BITMAP_MIN = 1 << 10
-
-
-def stack_distances_reference(lines: np.ndarray) -> np.ndarray:
-    """Exact stack distances via a per-access Fenwick sweep (oracle).
-
-    Args:
-        lines: integer array of cache-line addresses, in access order.
-
-    Returns:
-        int64 array of the same length; cold misses get :data:`COLD`.
-    """
-    lines = np.asarray(lines)
-    n = len(lines)
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return out
-    tree = FenwickTree(n)
-    last_pos: dict[int, int] = {}
-    add = tree.add
-    range_sum = tree.range_sum
-    for i, addr in enumerate(lines.tolist()):
-        prev = last_pos.get(addr)
-        if prev is not None:
-            # Distinct lines touched strictly between prev and i: each has
-            # exactly one "last access" marker in (prev, i).
-            out[i] = range_sum(prev + 1, i - 1)
-            add(prev, -1)
-        add(i, 1)
-        last_pos[addr] = i
-    return out
 
 
 def _wavelet_level(v, nxt, shift, width, scratch):
@@ -366,7 +331,7 @@ def stack_distances(lines: np.ndarray) -> np.ndarray:
     """Exact stack distances for a sequence of line addresses.
 
     Vectorized Mattson engine (see the module docstring); produces
-    bit-identical output to :func:`stack_distances_reference`.
+    bit-identical output to the per-access Fenwick oracle.
 
     Args:
         lines: integer array of cache-line addresses, in access order.

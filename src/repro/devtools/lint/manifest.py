@@ -4,10 +4,11 @@
 where the repo's cache-key and bit-identity invariants are written down
 as data:
 
-- ``[[engine]]`` — every public kernel with a vectorized/batched engine,
-  paired with its retained serial reference oracle.  New ``engine=``
-  kernels must be registered here (the oracle-pairing rule fails
-  otherwise).
+- ``[[engine]]`` — every public kernel with a vectorized/batched engine
+  (``kernel`` in ``module`` under ``src/``), paired with the serial
+  reference oracle it replaced (``reference`` in ``reference_module``
+  under ``tests/oracles/``).  New ``engine=`` kernels must be registered
+  here (the oracle-pairing rule fails otherwise).
 - ``[[fingerprint]]`` — for each content fingerprint, the functions
   whose hash-update calls define its input field set, pinned as a
   digest, plus the format-version constant that must be bumped whenever
@@ -36,7 +37,7 @@ def load_manifest(path: str | Path | None = None) -> dict:
     with open(path, "rb") as f:
         data = tomllib.load(f)
     for eng in data.get("engine", []):
-        for key in ("kernel", "module", "reference"):
+        for key in ("kernel", "module", "reference", "reference_module"):
             if key not in eng:
                 raise ValueError(f"{path}: engine entry missing {key!r}")
     for fp in data.get("fingerprint", []):

@@ -1,14 +1,15 @@
 """Oracle pairing: every batched engine keeps its serial ground truth.
 
-The repo's bit-identity discipline (PRs 2-6) is: a vectorized engine
-may replace a serial implementation only if the serial version is
-*retained* as an independently-derived oracle and a test pins the two
-bit-identical.  This rule makes the discipline mechanical.
+The repo's bit-identity discipline is: a vectorized engine may replace
+a serial implementation only if the serial version is kept as an
+independently-derived oracle under ``tests/oracles/`` and a test pins
+the two bit-identical.  This rule makes the discipline mechanical.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
 from repro.devtools.lint.base import (
@@ -20,24 +21,22 @@ from repro.devtools.lint.base import (
 
 __all__ = ["OraclePairingRule"]
 
-#: Reference spelled ``engine:<name>`` means the oracle is an inline
-#: dispatch path selected by the kernel's ``engine=`` switch, not a
-#: ``*_reference`` sibling function.
-_INLINE_PREFIX = "engine:"
-
 
 @register_rule
 class OraclePairingRule(Rule):
-    """Public kernels with a batched engine must retain a serial oracle.
+    """Public kernels with a batched engine must keep a serial oracle.
 
-    Every entry in ``invariants.toml``'s ``[[engine]]`` table names a
-    public kernel and its reference: either a retained ``*_reference``
-    sibling in the same module, or (``engine:<name>``) an inline serial
-    path behind the kernel's ``engine=`` switch.  The rule checks three
-    things: the kernel exists, the reference still exists, and at least
-    one test or benchmark file references both names — i.e. the
-    bit-identity pin has not been quietly deleted.  Conversely, any
-    public ``src/`` function that grows an ``engine=`` parameter must be
+    A fast path replaces its slow one in ``src/``; the slow one moves to
+    ``tests/oracles/``.  Every entry in ``invariants.toml``'s
+    ``[[engine]]`` table names a kernel with its ``src/`` module, and
+    its oracle with the oracle's own file (``reference_module``).  The
+    rule checks three things: the kernel exists, the oracle still
+    exists in its file, and at least one test or benchmark file other
+    than the oracle modules references both names, each as a whole
+    identifier — i.e. the bit-identity pin has not been quietly deleted
+    (an oracle's own docstring naming its kernel is not a pin, and
+    ``stack_distances_reference`` does not name ``stack_distances``).  Conversely, any public
+    ``src/`` function that grows an ``engine=`` parameter must be
     registered in the manifest, so new engines cannot ship oracle-less.
     """
 
@@ -46,8 +45,9 @@ class OraclePairingRule(Rule):
     def check_project(self, project: Project) -> Iterator[Finding]:
         entries = project.manifest.get("engine", [])
         registered = {e["kernel"].split(".")[-1] for e in entries}
+        oracle_files = {e["reference_module"] for e in entries}
         for entry in entries:
-            yield from self._check_entry(project, entry)
+            yield from self._check_entry(project, entry, oracle_files)
         # Sweep src/ for unregistered engine= switches.
         for f in project.glob_sources("src"):
             if f.tree is None:
@@ -69,7 +69,9 @@ class OraclePairingRule(Rule):
     # ------------------------------------------------------------------
     # Manifest entries
     # ------------------------------------------------------------------
-    def _check_entry(self, project: Project, entry: dict) -> Iterator[Finding]:
+    def _check_entry(
+        self, project: Project, entry: dict, oracle_files: set[str]
+    ) -> Iterator[Finding]:
         kernel = entry["kernel"]
         reference = entry["reference"]
         f = project.file(entry["module"])
@@ -81,8 +83,7 @@ class OraclePairingRule(Rule):
                 "unparseable",
             )
             return
-        defs = {qual: node for qual, node in self.functions(f.tree)}
-        knode = defs.get(kernel)
+        knode = dict(self.functions(f.tree)).get(kernel)
         if knode is None:
             yield self.finding(
                 f,
@@ -91,31 +92,20 @@ class OraclePairingRule(Rule):
                 f"not defined in {entry['module']}",
             )
             return
-        if reference.startswith(_INLINE_PREFIX):
-            engine_name = reference[len(_INLINE_PREFIX) :]
-            if not self._mentions_literal(knode, engine_name):
-                yield self.finding(
-                    f,
-                    knode.lineno,
-                    f"kernel {kernel!r} declares an inline "
-                    f"engine={engine_name!r} oracle path but its body "
-                    f"never dispatches on the literal {engine_name!r}",
-                )
-                return
-            needles = (kernel.split(".")[-1], f'engine="{engine_name}"')
-        else:
-            rnode = defs.get(reference)
-            if rnode is None:
-                yield self.finding(
-                    f,
-                    knode.lineno,
-                    f"kernel {kernel!r} has no retained reference oracle: "
-                    f"{reference!r} is not defined in {entry['module']} "
-                    "(renamed or deleted?)",
-                )
-                return
-            needles = (kernel.split(".")[-1], reference.split(".")[-1])
-        if not self._test_references(project, needles):
+        oracle = project.file(entry["reference_module"])
+        if oracle is None or oracle.tree is None or reference not in dict(
+            self.functions(oracle.tree)
+        ):
+            yield self.finding(
+                f,
+                knode.lineno,
+                f"kernel {kernel!r} has no reference oracle: {reference!r} "
+                f"is not defined in {entry['reference_module']} "
+                "(renamed, moved or deleted?)",
+            )
+            return
+        needles = (kernel.split(".")[-1], reference.split(".")[-1])
+        if not self._has_test_pin(project, needles, oracle_files):
             yield self.finding(
                 f,
                 knode.lineno,
@@ -132,18 +122,14 @@ class OraclePairingRule(Rule):
         return any(a.arg == "engine" for a in params)
 
     @staticmethod
-    def _mentions_literal(node: ast.AST, literal: str) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Constant) and sub.value == literal:
-                return True
-        return False
-
-    @staticmethod
-    def _test_references(
-        project: Project, needles: tuple[str, str]
+    def _has_test_pin(
+        project: Project, needles: tuple[str, str], oracle_files: set[str]
     ) -> bool:
+        words = [re.compile(rf"\b{re.escape(n)}\b") for n in needles]
         for subdir in ("tests", "benchmarks"):
             for f in project.glob_sources(subdir):
-                if all(needle in f.source for needle in needles):
+                if f.rel not in oracle_files and all(
+                    w.search(f.source) for w in words
+                ):
                     return True
         return False

@@ -11,9 +11,10 @@ seals (the ``python -m repro ingest watch`` command).
 Only the text formats (lackey / csv / jsonl) are followable: they are
 what live instrumentation pipes emit, and they can be parsed a line at
 a time without a record count up front.  Line parsing matches the
-sized readers in :mod:`repro.ingest.formats` exactly, so a capture
-classified live and the same capture ingested after the fact see the
-same records.
+sized readers in :mod:`repro.ingest.formats` — the same header rule,
+and the same rejection of captures that mix attributed and bare
+records — so a capture classified live and the same capture ingested
+after the fact see the same records or fail alike.
 """
 
 from __future__ import annotations
@@ -191,19 +192,32 @@ def _parse_lackey(line: str) -> tuple[int, int | None] | None:
         raise ValueError(f"malformed lackey record: {line!r}") from None
 
 
-def _parse_csv(line: str) -> tuple[int, int | None] | None:
-    s = line.strip()
-    if not s:
-        return None
-    cols = [c.strip() for c in s.split(",")]
-    try:
-        addr = _parse_int(cols[0])
-    except ValueError:
-        if cols[0].lower() in ("addr", "address"):
-            return None  # header line
-        raise ValueError(f"malformed csv record: {line!r}") from None
-    region = _parse_int(cols[1]) if len(cols) > 1 and cols[1] else None
-    return addr, region
+def _csv_parser() -> Callable[[str], tuple[int, int | None] | None]:
+    """A CSV line parser for one stream.
+
+    Like :class:`~repro.ingest.formats.CSVSource`, a first row whose
+    address does not parse as an integer is a header; a later one is
+    malformed.
+    """
+    first = True
+
+    def parse(line: str) -> tuple[int, int | None] | None:
+        nonlocal first
+        s = line.strip()
+        if not s:
+            return None
+        cols = [c.strip() for c in s.split(",")]
+        header_allowed, first = first, False
+        try:
+            addr = _parse_int(cols[0])
+        except ValueError:
+            if header_allowed:
+                return None  # header line
+            raise ValueError(f"malformed csv record: {line!r}") from None
+        region = _parse_int(cols[1]) if len(cols) > 1 and cols[1] else None
+        return addr, region
+
+    return parse
 
 
 def _parse_jsonl(line: str) -> tuple[int, int | None] | None:
@@ -218,22 +232,23 @@ def _parse_jsonl(line: str) -> tuple[int, int | None] | None:
         raise ValueError(
             f"expected an object with an 'addr' field, got {s[:60]!r}"
         )
-    addr = obj["addr"]
-    region = obj.get("region")
-    for key, value in (("addr", addr), ("region", region)):
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, int)
-        ):
+    # A present "region" key attributes the record, as in JSONLSource.
+    fields = {key: obj[key] for key in ("addr", "region") if key in obj}
+    for key, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(
                 f"{key!r} must be a JSON integer, got {value!r}"
             )
-    return addr, region
+    return fields["addr"], fields.get("region")
 
 
-_PARSERS: dict[str, Callable[[str], tuple[int, int | None] | None]] = {
-    "lackey": _parse_lackey,
-    "csv": _parse_csv,
-    "jsonl": _parse_jsonl,
+#: Format -> a factory of line parsers, one per followed stream.
+_PARSERS: dict[
+    str, Callable[[], Callable[[str], tuple[int, int | None] | None]]
+] = {
+    "lackey": lambda: _parse_lackey,
+    "csv": _csv_parser,
+    "jsonl": lambda: _parse_jsonl,
 }
 
 
@@ -244,35 +259,45 @@ def _chunks_from_lines(
 ) -> Iterator[TraceChunk]:
     """Batch parsed (addr, region) records into :class:`TraceChunk`\\ s.
 
-    A chunk carries regions when *any* of its records has one (bare
-    records in a mixed stream default to region 0, like unattributed
-    sources profiled as a single region).
+    The first record decides whether the stream carries regions.  Like
+    the sized readers, a capture that mixes attributed and bare records
+    is rejected: ``ValueError`` at the first record that differs.
     """
-    parse = _PARSERS[fmt]
+    parse = _PARSERS[fmt]()
     addrs: list[int] = []
     regions: list[int] = []
-    saw_region = False
+    attributed: bool | None = None
+    n = 0
     for line in lines:
         rec = parse(line)
         if rec is None:
             continue
         addr, region = rec
+        n += 1
+        if attributed is None:
+            attributed = region is not None
+        elif attributed != (region is not None):
+            raise ValueError(
+                f"record {n} {'has no' if attributed else 'has a'} region, "
+                "unlike record 1 (the capture mixes attributed and bare "
+                "records)"
+            )
         addrs.append(addr)
-        regions.append(region if region is not None else 0)
-        saw_region = saw_region or region is not None
+        if region is not None:
+            regions.append(region)
         if len(addrs) >= batch_records:
-            yield _chunk(addrs, regions, saw_region)
+            yield _chunk(addrs, regions, bool(attributed))
             addrs, regions = [], []
     if addrs:
-        yield _chunk(addrs, regions, saw_region)
+        yield _chunk(addrs, regions, bool(attributed))
 
 
 def _chunk(
-    addrs: list[int], regions: list[int], saw_region: bool
+    addrs: list[int], regions: list[int], attributed: bool
 ) -> TraceChunk:
     return TraceChunk(
         addrs=np.array(addrs, dtype=np.int64),
-        regions=np.array(regions, dtype=np.int32) if saw_region else None,
+        regions=np.array(regions, dtype=np.int32) if attributed else None,
     )
 
 

@@ -162,15 +162,17 @@ class HeapAllocator:
         self, size: int, pool: int, callpoint: int | None = None
     ) -> Allocation:
         """Allocate ``size`` bytes from ``pool``."""
-        if pool != POOL_NONE and pool not in self._arenas:
-            raise ValueError(f"unknown pool {pool}")
+        self._check_pool(pool)
         return self._malloc(size, pool, callpoint)
 
     def pool_calloc(
         self, count: int, elem_size: int, pool: int, callpoint: int | None = None
     ) -> Allocation:
         """Allocate ``count * elem_size`` zeroed bytes from ``pool``."""
-        return self.pool_malloc(count * elem_size, pool, callpoint)
+        # Calls _malloc itself, so a calloc site's callpoint is its
+        # caller and the caller's caller, as for pool_malloc.
+        self._check_pool(pool)
+        return self._malloc(count * elem_size, pool, callpoint)
 
     def pool_realloc(
         self, alloc: Allocation, new_size: int, callpoint: int | None = None
@@ -208,6 +210,10 @@ class HeapAllocator:
             if size <= cls:
                 return cls
         return None
+
+    def _check_pool(self, pool: int) -> None:
+        if pool != POOL_NONE and pool not in self._arenas:
+            raise ValueError(f"unknown pool {pool}")
 
     def _arena_for(self, pool: int) -> _Arena:
         if pool == POOL_NONE:

@@ -225,7 +225,8 @@ class Scheme(ABC):
         epochs (bypass hysteresis, Awasthi's bank counts) — but decisions
         never depend on accounting, so accounting batches over stacked
         per-VC arrays afterwards.  Equivalent to ``step`` per interval
-        (the differential tests pin exact equality).
+        (``step_batch_reference`` in ``tests/oracles/schemes.py``; the
+        differential tests pin exact equality).
         """
         if n_intervals is None:
             n_intervals = max((len(s) for s in actual_series.values()), default=0)

@@ -49,9 +49,11 @@ def simulate(
     n_intervals: int | None = None,
     sample_shift: int | None = None,
     use_cache: bool = True,
-    engine: str = "batched",
 ) -> SchemeResult:
     """Run one workload under one scheme.
+
+    The scheme steps through :meth:`~repro.schemes.base.Scheme.step_batch`:
+    it decides each interval in order and accounts them all at once.
 
     Args:
         workload: the program.
@@ -63,17 +65,10 @@ def simulate(
         owner_core: core the program runs on.
         n_intervals / sample_shift: override the defaults.
         use_cache: reuse cached profiles.
-        engine: ``"batched"`` steps the scheme through
-            :meth:`~repro.schemes.base.Scheme.step_batch` (accounting
-            vectorized across intervals); ``"serial"`` is the retained
-            interval-by-interval loop.  Results are identical (pinned by
-            the differential tests).
 
     Returns:
         The accumulated :class:`~repro.schemes.base.SchemeResult`.
     """
-    if engine not in ("batched", "serial"):
-        raise ValueError(f"unknown engine {engine!r}")
     if classifier is None:
         classifier = SingleVCClassifier()
     if n_intervals is None:
@@ -93,12 +88,6 @@ def simulate(
     scheme = scheme_factory(config, vcs)
     result = SchemeResult(name=scheme.name, base_cpi=config.base_cpi)
     instr_per = workload.trace.instructions / n_intervals
-    if engine == "serial":
-        for t in range(n_intervals):
-            decide = {vc: series[max(t - 1, 0)] for vc, series in curves.items()}
-            actual = {vc: series[t] for vc, series in curves.items()}
-            result.add(scheme.step(decide, actual, instr_per))
-        return result
     decide_series = {
         vc: [series[max(t - 1, 0)] for t in range(n_intervals)]
         for vc, series in curves.items()

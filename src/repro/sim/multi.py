@@ -51,9 +51,11 @@ def simulate_mix(
     n_intervals: int = 16,
     use_cache: bool = True,
     sample_shift: int | None = None,
-    engine: str = "batched",
 ) -> MixResult:
     """Run a mix of programs, one per core, under one scheme.
+
+    The scheme makes one joint decision per interval and accounts the
+    whole run at once (:meth:`~repro.schemes.base.Scheme.step_batch`).
 
     Args:
         workloads: one program per core (len <= config cores).
@@ -63,13 +65,7 @@ def simulate_mix(
         n_intervals: reconfiguration intervals over the mix window.
         sample_shift: address-sampling override (default: per-workload
             :func:`default_sample_shift`).
-        engine: ``"batched"`` makes one joint decision per interval and
-            batch-accounts the whole run; ``"serial"`` is the retained
-            interval-by-interval loop.  Results are identical (pinned by
-            the differential tests).
     """
-    if engine not in ("batched", "serial"):
-        raise ValueError(f"unknown engine {engine!r}")
     if len(workloads) > config.n_cores:
         raise ValueError(
             f"{len(workloads)} programs > {config.n_cores} cores"
@@ -117,11 +113,7 @@ def simulate_mix(
         SchemeResult(name=scheme.name, base_cpi=config.base_cpi)
         for __ in workloads
     ]
-    if engine == "serial":
-        interval_stats = _step_serial(scheme, app_curves, n_intervals)
-    else:
-        interval_stats = _step_batched(scheme, app_curves, n_intervals)
-    for stats in interval_stats:
+    for stats in _step_batched(scheme, app_curves, n_intervals):
         # Attribute each joint interval's stalls and energy per app.
         for app_idx, workload in enumerate(workloads):
             vc_ids = set(app_vc_ids[app_idx])
@@ -129,22 +121,6 @@ def simulate_mix(
             app_stats = _extract_app(stats, vc_ids, instr)
             per_app[app_idx].add(app_stats)
     return MixResult(scheme_name=scheme.name, per_app=per_app)
-
-
-def _step_serial(scheme, app_curves, n_intervals):
-    """The retained interval-by-interval joint loop (differential oracle)."""
-    out = []
-    for t in range(n_intervals):
-        decide = {}
-        actual = {}
-        for curves in app_curves:
-            for vc, series in curves.items():
-                decide[vc] = series[max(t - 1, 0)]
-                actual[vc] = series[t]
-        # One joint decision + accounting step.
-        allocations = scheme.decide(decide)
-        out.append(scheme.account(allocations, actual, instructions=0.0))
-    return out
 
 
 def _step_batched(scheme, app_curves, n_intervals):

@@ -1,15 +1,108 @@
-"""The stack-distance sweep over every access, with binary levels only.
+"""Two stack-distance oracles, each derived apart from the production sweep.
 
-The oracle for ``repro.curves.reuse._distances_from_prev``, which sweeps
-only re-touches and finishes large sweeps with per-row bitmaps.  Here a
-first touch enters the sweep keyed at its segment start minus one, the
-keys are ordered with a counting sort, and the sweep splits rows by
-position bit all the way down to rows of two.
+- :func:`stack_distances_reference` — the original per-access sweep
+  over a :class:`FenwickTree`, the oracle for
+  ``repro.curves.reuse.stack_distances``.
+- :func:`distances_from_prev_reference` — the oracle for
+  ``repro.curves.reuse._distances_from_prev``, which sweeps only
+  re-touches and finishes large sweeps with per-row bitmaps.  Here a
+  first touch enters the sweep keyed at its segment start minus one, the
+  keys are ordered with a counting sort, and the sweep splits rows by
+  position bit all the way down to rows of two.
 """
 
 import numpy as np
 
 from repro.curves.reuse import COLD, _wavelet_level
+
+
+class FenwickTree:
+    """A Fenwick tree supporting point updates and prefix-sum queries.
+
+    Positions are 0-based and fixed at construction time.  All operations
+    are O(log n).  In :func:`stack_distances_reference`, one bit per trace
+    position marks whether that position is the *most recent* access to
+    some line, and a range-sum query counts the distinct lines touched
+    since a previous access.
+    """
+
+    def __init__(self, size: int) -> None:
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        self._size = size
+        self._tree = [0] * (size + 1)
+
+    @property
+    def size(self) -> int:
+        """Number of addressable positions."""
+        return self._size
+
+    def add(self, index: int, delta: int) -> None:
+        """Add ``delta`` to the value at ``index``."""
+        if not 0 <= index < self._size:
+            raise IndexError(f"index {index} out of range [0, {self._size})")
+        i = index + 1
+        tree = self._tree
+        while i <= self._size:
+            tree[i] += delta
+            i += i & (-i)
+
+    def prefix_sum(self, index: int) -> int:
+        """Sum of values at positions ``[0, index]``.
+
+        ``index == -1`` returns 0 (the empty prefix).
+        """
+        if index >= self._size:
+            raise IndexError(f"index {index} out of range [0, {self._size})")
+        total = 0
+        i = index + 1
+        tree = self._tree
+        while i > 0:
+            total += tree[i]
+            i -= i & (-i)
+        return total
+
+    def range_sum(self, lo: int, hi: int) -> int:
+        """Sum of values at positions ``[lo, hi]`` inclusive."""
+        if lo > hi:
+            return 0
+        return self.prefix_sum(hi) - (self.prefix_sum(lo - 1) if lo > 0 else 0)
+
+    def total(self) -> int:
+        """Sum of all values in the tree."""
+        if self._size == 0:
+            return 0
+        return self.prefix_sum(self._size - 1)
+
+
+def stack_distances_reference(lines: np.ndarray) -> np.ndarray:
+    """Exact stack distances via a per-access Fenwick sweep (oracle).
+
+    Args:
+        lines: integer array of cache-line addresses, in access order.
+
+    Returns:
+        int64 array of the same length; cold misses get :data:`COLD`.
+    """
+    lines = np.asarray(lines)
+    n = len(lines)
+    out = np.full(n, COLD, dtype=np.int64)
+    if n == 0:
+        return out
+    tree = FenwickTree(n)
+    last_pos: dict[int, int] = {}
+    add = tree.add
+    range_sum = tree.range_sum
+    for i, addr in enumerate(lines.tolist()):
+        prev = last_pos.get(addr)
+        if prev is not None:
+            # Distinct lines touched strictly between prev and i: each has
+            # exactly one "last access" marker in (prev, i).
+            out[i] = range_sum(prev + 1, i - 1)
+            add(prev, -1)
+        add(i, 1)
+        last_pos[addr] = i
+    return out
 
 
 def _key_order(keys, cold, cold_rank):

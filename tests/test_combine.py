@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curves import MissCurve, combine_miss_curves
-from repro.curves.combine import combine_many
 
 
 def curve(values, chunk=1024, instr=1000.0):
@@ -105,16 +104,6 @@ class TestPaperProperties:
         tiny = exp_curve(0.5, 0.6, 30)
         c = combine_miss_curves(a, tiny)
         assert np.all(np.abs(c.misses - a.misses) <= 0.06 * a.misses[0] + 1.0)
-
-    def test_combine_many_matches_folding(self):
-        cs = [exp_curve(100, 0.7, 20), exp_curve(50, 0.8, 20), exp_curve(25, 0.9, 20)]
-        m = combine_many(cs)
-        f = combine_miss_curves(combine_miss_curves(cs[0], cs[1]), cs[2])
-        assert np.allclose(m.misses, f.misses)
-
-    def test_combine_many_rejects_empty(self):
-        with pytest.raises(ValueError):
-            combine_many([])
 
 
 class TestPropertyBased:

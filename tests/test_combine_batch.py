@@ -1,5 +1,6 @@
 """Differential tests: batched combine engine vs the serial oracles.
 
+The oracles are the scalar Listing-1 loops in ``tests/oracles/combine.py``.
 The batched kernels replay the serial loops' IEEE expressions
 elementwise across the batch axis (or, for narrow combine batches, lane
 by lane in Python floats), so every comparison here is *exact*
@@ -11,18 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.combine import (
+    combine_miss_curves_reference,
+    shared_cache_misses_reference,
+)
 
 from repro.curves import MissCurve, combine
 from repro.curves.combine import (
     _LANE_LOOP_MAX_BATCH,
     _read,
     advance_flow_heads,
-    combine_many,
     combine_miss_curves,
-    combine_miss_curves_batch,
     combine_rate_rows,
     shared_cache_misses,
-    shared_cache_misses_reference,
 )
 
 CHUNK = 1024
@@ -61,42 +63,39 @@ class TestCombineBatchVsOracle:
         )
     )
     def test_batch_bit_identical_to_serial(self, specs):
-        pairs = [
-            (curve(va, instr=ia), curve(vb, instr=ib))
-            for va, ia, vb, ib in specs
-        ]
-        got = combine_miss_curves_batch(pairs)
-        for (a, b), g in zip(pairs, got):
-            assert_curves_identical(g, combine_miss_curves(a, b))
+        # Each curve draws its own length, so most pairs are ragged.
+        for va, ia, vb, ib in specs:
+            a, b = curve(va, instr=ia), curve(vb, instr=ib)
+            assert_curves_identical(
+                combine_miss_curves(a, b), combine_miss_curves_reference(a, b)
+            )
 
     def test_ragged_grids_grouped_per_pair(self):
-        """Pairs with different grid lengths batch by group, exactly."""
+        """Each pair extends to its own longer grid, exactly."""
         pairs = [
             (curve([100, 10, 0]), curve([50] * 8)),
             (curve([7, 3]), curve([9, 1])),
             (curve([100] * 12), curve([60, 20, 5])),
         ]
-        got = combine_miss_curves_batch(pairs)
-        for (a, b), g in zip(pairs, got):
-            assert_curves_identical(g, combine_miss_curves(a, b))
+        for a, b in pairs:
+            got = combine_miss_curves(a, b)
+            assert got.n_chunks == max(a.n_chunks, b.n_chunks)
+            assert_curves_identical(got, combine_miss_curves_reference(a, b))
 
     def test_zero_flow_lanes_freeze(self):
         """All-zero pairs (flow stops immediately) stay bit-identical."""
         z = MissCurve.zero(6, CHUNK, instructions=1000.0)
         live = curve(100 * np.power(0.5, np.arange(7)))
-        pairs = [(z, z), (live, z), (z, live)]
-        got = combine_miss_curves_batch(pairs)
-        for (a, b), g in zip(pairs, got):
-            assert_curves_identical(g, combine_miss_curves(a, b))
-
-    def test_empty_batch(self):
-        assert combine_miss_curves_batch([]) == []
+        for a, b in [(z, z), (live, z), (z, live)]:
+            assert_curves_identical(
+                combine_miss_curves(a, b), combine_miss_curves_reference(a, b)
+            )
 
     def test_chunk_mismatch_rejected(self):
         a = curve([1, 0])
         b = MissCurve(np.array([1.0, 0.0]), 2 * CHUNK, 1.0, 1000.0)
-        with pytest.raises(ValueError):
-            combine_miss_curves_batch([(a, b)])
+        with pytest.raises(ValueError, match="chunk_bytes"):
+            combine_miss_curves(a, b)
 
     def test_rate_rows_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -169,7 +168,7 @@ real_row = st.one_of(
 
 
 def listing1_rows(r1, r2):
-    """:func:`combine_miss_curves`' scalar loop, on raw rate rows."""
+    """``combine_miss_curves_reference``'s scalar loop, on raw rate rows."""
     out = np.empty(r1.shape)
     for b in range(len(r1)):
         s1 = s2 = 0.0
@@ -351,29 +350,3 @@ class TestRateRowKernels:
                 combine_rate_rows(_tiled(r1, lanes), _tiled(r2, lanes))
         with pytest.raises(ValueError, match="non-negative"):
             advance_flow_heads(np.concatenate([r1, r2]), np.ones((2, 1), dtype=bool), 3)
-
-
-class TestCombineManyTree:
-    def test_tree_fold_four_curves(self):
-        cs = [
-            curve(100 * np.power(d, np.arange(13)))
-            for d in (0.5, 0.6, 0.7, 0.8)
-        ]
-        want = combine_miss_curves(
-            combine_miss_curves(cs[0], cs[1]),
-            combine_miss_curves(cs[2], cs[3]),
-        )
-        assert_curves_identical(combine_many(cs), want)
-
-    def test_odd_leftover_carried(self):
-        cs = [curve(100 * np.power(d, np.arange(9))) for d in (0.5, 0.7, 0.9)]
-        want = combine_miss_curves(combine_miss_curves(cs[0], cs[1]), cs[2])
-        assert_curves_identical(combine_many(cs), want)
-
-    def test_single_curve_identity(self):
-        c = curve([5, 1, 0])
-        assert combine_many([c]) is c
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            combine_many([])

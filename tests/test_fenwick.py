@@ -1,11 +1,11 @@
-"""Unit tests for the Fenwick tree."""
+"""Unit tests for the Fenwick tree behind the stack-distance oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.curves import FenwickTree
+from oracles.reuse import FenwickTree
 
 
 class TestBasics:

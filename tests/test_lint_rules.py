@@ -49,13 +49,15 @@ ORACLE_MANIFEST = """
 kernel = "fast_sum"
 module = "src/kern.py"
 reference = "fast_sum_reference"
+reference_module = "tests/oracles/kern.py"
 """
 
 ORACLE_OK = {
     "src/kern.py": """\
         def fast_sum(xs):
             return sum(xs)
-
+        """,
+    "tests/oracles/kern.py": """\
         def fast_sum_reference(xs):
             total = 0
             for x in xs:
@@ -63,7 +65,8 @@ ORACLE_OK = {
             return total
         """,
     "tests/test_kern.py": """\
-        from kern import fast_sum, fast_sum_reference
+        from kern import fast_sum
+        from oracles.kern import fast_sum_reference
 
         def test_identical():
             assert fast_sum([1, 2]) == fast_sum_reference([1, 2])
@@ -78,21 +81,61 @@ def test_oracle_pairing_clean(tmp_path):
 
 def test_oracle_pairing_renamed_reference_fails(tmp_path):
     files = dict(ORACLE_OK)
-    files["src/kern.py"] = files["src/kern.py"].replace(
+    files["tests/oracles/kern.py"] = files["tests/oracles/kern.py"].replace(
         "fast_sum_reference", "fast_sum_oracle"
     )
     root, m = make_tree(tmp_path, files, ORACLE_MANIFEST)
     findings = run(root, m, ["oracle-pairing"])
     assert len(findings) == 1
-    assert "no retained reference oracle" in findings[0].message
+    assert "no reference oracle" in findings[0].message
+    assert findings[0].file == "src/kern.py"
 
 
 def test_oracle_pairing_missing_test_pin_fails(tmp_path):
-    files = {"src/kern.py": ORACLE_OK["src/kern.py"]}
+    files = {rel: ORACLE_OK[rel] for rel in ("src/kern.py", "tests/oracles/kern.py")}
     root, m = make_tree(tmp_path, files, ORACLE_MANIFEST)
     findings = run(root, m, ["oracle-pairing"])
     assert len(findings) == 1
     assert "no test or benchmark file references both" in findings[0].message
+
+
+def test_oracle_pairing_oracle_docstring_is_not_a_pin(tmp_path):
+    # The only file naming both the kernel and the oracle is the
+    # oracle's own module, through its docstring.
+    files = {
+        "src/kern.py": ORACLE_OK["src/kern.py"],
+        "tests/oracles/kern.py": '"""The oracle for kern.fast_sum."""\n\n'
+        + textwrap.dedent(ORACLE_OK["tests/oracles/kern.py"]),
+    }
+    root, m = make_tree(tmp_path, files, ORACLE_MANIFEST)
+    findings = run(root, m, ["oracle-pairing"])
+    assert len(findings) == 1
+    assert "no test or benchmark file references both" in findings[0].message
+
+
+def test_oracle_pairing_oracle_name_alone_is_not_a_pin(tmp_path):
+    # The kernel's name is a prefix of the oracle's: a test that uses
+    # only the oracle does not pin the kernel.
+    files = dict(ORACLE_OK)
+    files["tests/test_kern.py"] = """\
+        from oracles.kern import fast_sum_reference
+
+        def test_oracle_alone():
+            assert fast_sum_reference([1, 2]) == 3
+        """
+    root, m = make_tree(tmp_path, files, ORACLE_MANIFEST)
+    findings = run(root, m, ["oracle-pairing"])
+    assert len(findings) == 1
+    assert "no test or benchmark file references both" in findings[0].message
+
+
+def test_oracle_pairing_manifest_requires_reference_module(tmp_path):
+    manifest = ORACLE_MANIFEST.replace(
+        'reference_module = "tests/oracles/kern.py"\n', ""
+    )
+    root, m = make_tree(tmp_path, ORACLE_OK, manifest)
+    with pytest.raises(ValueError, match="reference_module"):
+        run(root, m, ["oracle-pairing"])
 
 
 def test_oracle_pairing_unregistered_engine_kernel_fails(tmp_path):
@@ -106,40 +149,6 @@ def test_oracle_pairing_unregistered_engine_kernel_fails(tmp_path):
     findings = run(root, m, ["oracle-pairing"])
     assert len(findings) == 1
     assert "not registered" in findings[0].message
-
-
-def test_oracle_pairing_inline_serial_engine(tmp_path):
-    manifest = """
-    [[engine]]
-    kernel = "simulate"
-    module = "src/drv.py"
-    reference = "engine:serial"
-    """
-    files = {
-        "src/drv.py": """\
-            def simulate(trace, engine="batched"):
-                if engine == "serial":
-                    return 1
-                return 2
-            """,
-        "tests/test_drv.py": """\
-            from drv import simulate
-
-            def test_engines_agree():
-                assert simulate([], engine="serial") == simulate([])
-            """,
-    }
-    root, m = make_tree(tmp_path, files, manifest)
-    assert run(root, m, ["oracle-pairing"]) == []
-    # Drop the serial path: the inline oracle is gone.
-    files["src/drv.py"] = """\
-        def simulate(trace, engine="batched"):
-            return 2
-        """
-    root, m = make_tree(tmp_path, files, manifest)
-    findings = run(root, m, ["oracle-pairing"])
-    assert len(findings) == 1
-    assert "never dispatches" in findings[0].message
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,8 @@ class TestHeapAllocator:
         heap = HeapAllocator()
         with pytest.raises(ValueError):
             heap.pool_malloc(10, 42)
+        with pytest.raises(ValueError, match="unknown pool"):
+            heap.pool_calloc(1, 16, 42)
 
     def test_zero_size_rejected(self):
         heap = HeapAllocator()
@@ -138,6 +140,28 @@ class TestHeapAllocator:
         heap = HeapAllocator()
         allocs = [heap.malloc(16) for __ in range(3)]
         assert len({x.callpoint for x in allocs}) == 1
+
+    @pytest.mark.parametrize("alloc", ["pool_malloc", "pool_calloc"])
+    def test_pool_callpoints_name_the_caller(self, alloc):
+        # A site is the allocating call and its caller (the paper's last
+        # two return PCs), so one allocating function reached from two
+        # callers yields two callpoints, whichever pool call it makes.
+        heap = HeapAllocator()
+        pool = heap.pool_create()
+        args = (1, 16, pool) if alloc == "pool_calloc" else (16, pool)
+
+        def build():
+            return getattr(heap, alloc)(*args)
+
+        def first_caller():
+            return build()
+
+        def second_caller():
+            return build()
+
+        a, b = first_caller(), second_caller()
+        assert a.callpoint != b.callpoint
+        assert a.pool == b.pool == pool
 
     def test_callpoints_ignore_code_above_the_function(self):
         # A site is named by module, function and line offset, so moving

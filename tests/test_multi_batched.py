@@ -1,14 +1,18 @@
-"""Differential tests: batched stepping engine vs. the retained serial path.
+"""Differential tests: batched stepping vs one interval at a time.
 
-``simulate`` / ``simulate_mix`` default to the batched engine (decide per
-interval, account the whole run as stacked arrays); ``engine="serial"``
-is the original interval-by-interval loop.  The two must produce *exact*
+``simulate`` / ``simulate_mix`` step their scheme through
+``Scheme.step_batch`` (decide per interval, account the whole run as
+stacked arrays).  Each case runs the same simulation a second time with
+``step_batch`` replaced by ``step_batch_reference``, a ``scheme.step``
+loop over the intervals; no scheme overrides ``step_batch``, so patching
+it on ``Scheme`` covers every scheme.  The two must produce *exact*
 ``SchemeResult`` / ``MixResult`` equality — dataclass equality covers
 every accumulated total, per-interval ``IntervalStats`` (history), per-VC
 dicts, and energy breakdowns.
 """
 
 import pytest
+from oracles.schemes import step_batch_reference
 
 from repro.core.whirlpool import WhirlpoolScheme
 from repro.nuca import four_core_config
@@ -20,6 +24,7 @@ from repro.schemes import (
     SNUCAScheme,
     SingleVCClassifier,
 )
+from repro.schemes.base import Scheme
 from repro.sim import simulate, simulate_mix
 from repro.workloads import build_workload
 
@@ -57,6 +62,15 @@ def mix4():
     ]
 
 
+def batched_and_serial(run, monkeypatch):
+    """``run()`` as shipped, then with ``step_batch`` stepping serially."""
+    batched = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(Scheme, "step_batch", step_batch_reference)
+        serial = run()
+    return batched, serial
+
+
 def assert_mix_equal(a, b):
     assert a.scheme_name == b.scheme_name
     assert len(a.per_app) == len(b.per_app)
@@ -67,28 +81,24 @@ def assert_mix_equal(a, b):
 class TestMixDifferential:
     @pytest.mark.parametrize("scheme", sorted(FACTORIES))
     @pytest.mark.parametrize("shift", [0, 3])
-    def test_two_app_mix_exact(self, cfg, mix2, scheme, shift):
+    def test_two_app_mix_exact(self, cfg, mix2, scheme, shift, monkeypatch):
         kwargs = dict(n_intervals=5, sample_shift=shift, use_cache=False)
-        batched = simulate_mix(
-            mix2, cfg, FACTORIES[scheme], engine="batched", **kwargs
-        )
-        serial = simulate_mix(
-            mix2, cfg, FACTORIES[scheme], engine="serial", **kwargs
+        batched, serial = batched_and_serial(
+            lambda: simulate_mix(mix2, cfg, FACTORIES[scheme], **kwargs),
+            monkeypatch,
         )
         assert_mix_equal(batched, serial)
 
     @pytest.mark.parametrize("scheme", ["Jigsaw", "Whirlpool", "S-NUCA/DRRIP"])
-    def test_four_app_mix_exact(self, cfg, mix4, scheme):
+    def test_four_app_mix_exact(self, cfg, mix4, scheme, monkeypatch):
         kwargs = dict(n_intervals=4, sample_shift=0, use_cache=False)
-        batched = simulate_mix(
-            mix4, cfg, FACTORIES[scheme], engine="batched", **kwargs
-        )
-        serial = simulate_mix(
-            mix4, cfg, FACTORIES[scheme], engine="serial", **kwargs
+        batched, serial = batched_and_serial(
+            lambda: simulate_mix(mix4, cfg, FACTORIES[scheme], **kwargs),
+            monkeypatch,
         )
         assert_mix_equal(batched, serial)
 
-    def test_pooled_whirlpool_mix_exact(self, cfg, mix2):
+    def test_pooled_whirlpool_mix_exact(self, cfg, mix2, monkeypatch):
         """Multi-VC-per-app layout (the Whirlpool mix rule)."""
         mis = build_workload("MIS", scale="train", seed=0)
         apps = [mis, mix2[0]]
@@ -97,42 +107,39 @@ class TestMixDifferential:
             classifiers=classifiers, n_intervals=5, sample_shift=0,
             use_cache=False,
         )
-        batched = simulate_mix(
-            apps, cfg, lambda c, v: WhirlpoolScheme(c, v),
-            engine="batched", **kwargs,
-        )
-        serial = simulate_mix(
-            apps, cfg, lambda c, v: WhirlpoolScheme(c, v),
-            engine="serial", **kwargs,
+        batched, serial = batched_and_serial(
+            lambda: simulate_mix(
+                apps, cfg, lambda c, v: WhirlpoolScheme(c, v), **kwargs
+            ),
+            monkeypatch,
         )
         assert_mix_equal(batched, serial)
 
-    def test_empty_mix(self, cfg):
-        for engine in ("batched", "serial"):
-            result = simulate_mix(
-                [], cfg, JigsawScheme, n_intervals=4, engine=engine
-            )
+    def test_empty_mix(self, cfg, monkeypatch):
+        for result in batched_and_serial(
+            lambda: simulate_mix([], cfg, JigsawScheme, n_intervals=4),
+            monkeypatch,
+        ):
             assert result.per_app == []
 
     def test_unknown_engine_rejected(self, cfg, mix2):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_mix(mix2, cfg, JigsawScheme, engine="warp")
+        # One stepping path: the old engine= switch is gone, not ignored.
+        with pytest.raises(TypeError, match="engine"):
+            simulate_mix(mix2, cfg, JigsawScheme, engine="serial")
 
 
 class TestSingleDifferential:
     @pytest.mark.parametrize("scheme", sorted(FACTORIES))
-    def test_simulate_exact(self, cfg, scheme):
+    def test_simulate_exact(self, cfg, scheme, monkeypatch):
         workload = build_workload("MIS", scale="train", seed=0)
         kwargs = dict(n_intervals=6, use_cache=False)
-        batched = simulate(
-            workload, cfg, FACTORIES[scheme], engine="batched", **kwargs
-        )
-        serial = simulate(
-            workload, cfg, FACTORIES[scheme], engine="serial", **kwargs
+        batched, serial = batched_and_serial(
+            lambda: simulate(workload, cfg, FACTORIES[scheme], **kwargs),
+            monkeypatch,
         )
         assert batched == serial
 
     def test_unknown_engine_rejected(self, cfg):
         workload = build_workload("MIS", scale="train", seed=0)
-        with pytest.raises(ValueError, match="engine"):
-            simulate(workload, cfg, JigsawScheme, engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            simulate(workload, cfg, JigsawScheme, engine="serial")

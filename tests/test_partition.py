@@ -52,7 +52,7 @@ class TestPartitionCostCurves:
         total = 8
         sizes, cost = partition_cost_curves([c.copy() for c in curves], total)
         # Exhaustive optimum over the hulls.
-        from repro.curves.miss_curve import _lower_convex_hull
+        from oracles.partition import _lower_convex_hull
 
         hulls = [_lower_convex_hull(c) for c in curves]
         best = min(

@@ -4,7 +4,9 @@ The vectorized engine must be *bit-identical* to
 ``partition_cost_curves_reference`` — same sizes, same total cost — on
 every input, including adversarial float patterns (exact ties, ulp-level
 hull-interpolation jitter).  The same holds one layer down for the
-run-skipping convex-hull scan vs. the original monotone chain.
+run-skipping convex-hull scan vs. the original monotone chain, and
+beside it for the optimal-split curve vs. the serial merged-gains scan.
+The oracles live in ``tests/oracles/partition.py``.
 """
 
 import itertools
@@ -13,11 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.partition import (
+    _lower_convex_hull,
+    partition_cost_curves_reference,
+    partitioned_miss_curve_reference,
+)
 
-from repro.curves.miss_curve import _lower_convex_hull, _lower_convex_hull_fast
+from repro.curves.miss_curve import MissCurve, _lower_convex_hull_fast
 from repro.curves.partition import (
     partition_cost_curves,
-    partition_cost_curves_reference,
+    partitioned_miss_curve,
+    partitioned_rate_rows,
 )
 
 # Finite floats with plenty of exact collisions (integers shrink well and
@@ -176,12 +184,10 @@ class TestValidationRegressions:
 
 
 class TestPartitionedCurveBatch:
-    """Batched optimal-split curves vs the serial ``partitioned_miss_curve``."""
+    """One-row optimal-split curves vs the serial merged-gains scan."""
 
     @staticmethod
     def _curve(values, instr=1000.0):
-        from repro.curves.miss_curve import MissCurve
-
         values = np.asarray(values, dtype=float)
         return MissCurve(
             misses=values,
@@ -204,59 +210,26 @@ class TestPartitionedCurveBatch:
         )
     )
     def test_batch_bit_identical_to_serial(self, specs):
-        from repro.curves.partition import (
-            partitioned_miss_curve,
-            partitioned_miss_curve_batch,
-        )
-
-        pairs = [
-            (self._curve(va, ia), self._curve(vb, ib))
-            for va, ia, vb, ib in specs
-        ]
-        got = partitioned_miss_curve_batch(pairs)
-        for (a, b), g in zip(pairs, got):
-            want = partitioned_miss_curve(a, b)
-            assert np.array_equal(g.misses, want.misses)
-            assert g.chunk_bytes == want.chunk_bytes
-            assert g.accesses == want.accesses
-            assert g.instructions == want.instructions
-
-    def test_shared_curves_hull_primed_once(self):
-        """A curve appearing in many pairs yields the same rows as serial."""
-        from repro.curves.partition import (
-            partitioned_miss_curve,
-            partitioned_miss_curve_batch,
-        )
-
-        rng = np.random.default_rng(9)
-        shared = self._curve(np.sort(rng.uniform(0, 100, 17))[::-1].copy())
-        others = [
-            self._curve(np.sort(rng.uniform(0, 100, 17))[::-1].copy())
-            for __ in range(4)
-        ]
-        pairs = [(shared, o) for o in others]
-        got = partitioned_miss_curve_batch(pairs)
-        for (a, b), g in zip(pairs, got):
-            assert np.array_equal(
-                g.misses, partitioned_miss_curve(a, b).misses
-            )
+        # Each curve draws its own length, so most pairs are ragged.
+        for va, ia, vb, ib in specs:
+            a, b = self._curve(va, ia), self._curve(vb, ib)
+            got = partitioned_miss_curve(a, b)
+            want = partitioned_miss_curve_reference(a, b)
+            assert np.array_equal(got.misses, want.misses)
+            assert got.chunk_bytes == want.chunk_bytes
+            assert got.accesses == want.accesses
+            assert got.instructions == want.instructions
 
     def test_empty_batch(self):
-        from repro.curves.partition import partitioned_miss_curve_batch
-
-        assert partitioned_miss_curve_batch([]) == []
+        rows = partitioned_rate_rows(np.zeros((0, 5)), np.zeros((0, 5)))
+        assert rows.shape == (0, 5)
 
     def test_chunk_mismatch_rejected(self):
-        from repro.curves.miss_curve import MissCurve
-        from repro.curves.partition import partitioned_miss_curve_batch
-
         a = self._curve([2.0, 1.0])
         b = MissCurve(np.array([2.0, 1.0]), 2048, 2.0, 1000.0)
         with pytest.raises(ValueError, match="chunk_bytes"):
-            partitioned_miss_curve_batch([(a, b)])
+            partitioned_miss_curve(a, b)
 
     def test_rate_rows_shape_mismatch_rejected(self):
-        from repro.curves.partition import partitioned_rate_rows
-
         with pytest.raises(ValueError, match="shape"):
             partitioned_rate_rows(np.zeros((2, 5)), np.zeros((2, 6)))

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles.reuse import distances_from_prev_reference
+from oracles.reuse import distances_from_prev_reference, stack_distances_reference
 from repro.curves import (
     StackDistanceProfiler,
     miss_curve_from_distances,
     reuse,
     stack_distances,
-    stack_distances_reference,
 )
 from repro.curves.reuse import (
     _BITMAP_MIN,

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles.whirltool import pool_distance
 
 from repro.core.whirltool import (
     CallpointProfile,
     WhirlToolAnalyzer,
-    WhirlToolClassifier,
     WhirlToolProfiler,
-    pool_distance,
     train_whirltool,
 )
 from repro.curves import MissCurve

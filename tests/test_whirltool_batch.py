@@ -1,16 +1,18 @@
 """Differential tests: batched clustering engine vs the serial oracle.
 
 ``WhirlToolAnalyzer.cluster`` (condensed-matrix, batched distance
-evaluation) must reproduce ``cluster_reference`` *exactly* on arbitrary
-multi-interval profiles: same merge order, same recorded cluster tuple
-order, bit-equal distances, same tie-breaks.  Plus the index-based
-``assignments`` replay regressions.
+evaluation) must reproduce ``cluster_reference`` (in
+``tests/oracles/whirltool.py``) *exactly* on arbitrary multi-interval
+profiles: same merge order, same recorded cluster tuple order, bit-equal
+distances, same tie-breaks.  Plus the degenerate profiles the engine
+handles itself, and the index-based ``assignments`` replay regressions.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.whirltool import cluster_reference
 
 from repro.core.whirltool import (
     CallpointProfile,
@@ -77,7 +79,7 @@ class TestClusterVsReference:
     def test_bit_identical_merge_trees(self, profile):
         analyzer = WhirlToolAnalyzer()
         got = analyzer.cluster(profile)
-        want = analyzer.cluster_reference(profile)
+        want = cluster_reference(profile)
         assert_clusterings_identical(got, want)
         for k in (1, 2, 3, len(profile.curves)):
             assert got.assignments(k) == want.assignments(k)
@@ -96,7 +98,7 @@ class TestClusterVsReference:
         )
         analyzer = WhirlToolAnalyzer()
         got = analyzer.cluster(profile)
-        want = analyzer.cluster_reference(profile)
+        want = cluster_reference(profile)
         assert_clusterings_identical(got, want)
         # The first merge must pick the lexicographically smallest
         # (min_a, min_b) pair among the all-tied distances.
@@ -112,6 +114,10 @@ class TestClusterVsReference:
         result = WhirlToolAnalyzer().cluster(profile)
         assert result.merges == []
         assert result.callpoints == [5]
+        assert result.names == {5: "only"}
+        assert_clusterings_identical(result, cluster_reference(profile))
+        empty = WhirlToolAnalyzer().cluster(CallpointProfile(curves={}))
+        assert empty.merges == [] and empty.callpoints == []
 
     def test_interval_grid_mismatch_raises(self):
         c = MissCurve(np.array([10.0, 0.0]), CHUNK, 10.0, 1e6)
@@ -121,21 +127,26 @@ class TestClusterVsReference:
         with pytest.raises(ValueError):
             WhirlToolAnalyzer().cluster(profile)
 
-    def test_ragged_size_grids_fall_back_to_reference(self):
-        """Mixed n_chunks still cluster (serial path), identically."""
-        short = MissCurve(np.array([10.0, 2.0, 0.0]), CHUNK, 10.0, 1e6)
+    def test_no_intervals_raises(self):
+        profile = CallpointProfile(curves={1: [], 2: []}, n_intervals=0)
+        with pytest.raises(ValueError, match="no intervals"):
+            WhirlToolAnalyzer().cluster(profile)
+
+    def test_ragged_size_grids_raise(self):
+        """Every profiler builds one grid; curves on two are rejected."""
         long = MissCurve(
             100 * np.power(0.5, np.arange(8)), CHUNK, 100.0, 1e6
         )
-        profile = CallpointProfile(
-            curves={1: [short], 2: [long], 3: [short]},
-            names={},
-            n_intervals=1,
-        )
-        analyzer = WhirlToolAnalyzer()
-        assert_clusterings_identical(
-            analyzer.cluster(profile), analyzer.cluster_reference(profile)
-        )
+        short = MissCurve(np.array([10.0, 2.0, 0.0]), CHUNK, 10.0, 1e6)
+        coarse = MissCurve(long.misses, 2 * CHUNK, 100.0, 1e6)
+        for odd in (short, coarse):  # n_chunks, then chunk_bytes
+            profile = CallpointProfile(
+                curves={1: [long, long], 2: [long, odd], 3: [long, long]},
+                names={},
+                n_intervals=2,
+            )
+            with pytest.raises(ValueError, match="size grid"):
+                WhirlToolAnalyzer().cluster(profile)
 
 
 class TestAssignmentsReplay:

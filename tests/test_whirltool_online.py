@@ -3,12 +3,12 @@
 The tentpole contract: streaming a sized source to completion through
 :class:`OnlineWhirlTool` (any chunk size, any interval count, any
 sample shift) produces pools *exactly* equal — merge order, distances,
-tie-breaks — to :func:`online_pools_reference`, the offline
+tie-breaks — to ``online_pools_reference``, the offline
 profile-then-cluster pipeline.  Likewise
 :meth:`WhirlToolAnalyzer.cluster_incremental` replaying cached pool rows
-and pair terms must reproduce the serial
-:meth:`WhirlToolAnalyzer.cluster_reference` float-for-float on every
-growing prefix of a profile.
+and pair terms must reproduce the serial ``cluster_reference``
+float-for-float on every growing prefix of a profile.  Both oracles live
+under ``tests/oracles/``.
 """
 
 import io
@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.online import online_pools_reference
+from oracles.whirltool import cluster_reference
 
 from repro.cli import main
 from repro.core.whirltool import (
@@ -26,7 +28,6 @@ from repro.core.whirltool import (
     OnlineWhirlTool,
     PhaseDetector,
     WhirlToolAnalyzer,
-    online_pools_reference,
 )
 from repro.core.whirltool.online import EpochReport
 from repro.curves import MissCurve
@@ -180,7 +181,7 @@ class TestIncrementalCluster:
         profile = make_profile(seed, n_intervals=n_intervals)
         analyzer = WhirlToolAnalyzer()
         got = analyzer.cluster_incremental(profile, IncrementalClusterCache())
-        assert_same_result(got, analyzer.cluster_reference(profile))
+        assert_same_result(got, cluster_reference(profile))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 100))
@@ -193,7 +194,7 @@ class TestIncrementalCluster:
         for k in (1, 2, 4, 7, 8):
             prefix = profile_prefix(profile, k)
             got = analyzer.cluster_incremental(prefix, cache)
-            assert_same_result(got, analyzer.cluster_reference(prefix))
+            assert_same_result(got, cluster_reference(prefix))
         # The cache really was incremental: terms cover all 8 intervals.
         assert all(len(v) == 8 for v in cache.terms.values())
 
@@ -207,7 +208,7 @@ class TestIncrementalCluster:
         for k in range(1, 9):
             prefix = profile_prefix(profile, k)
             got = analyzer.cluster_incremental(prefix, cache)
-            assert_same_result(got, analyzer.cluster_reference(prefix))
+            assert_same_result(got, cluster_reference(prefix))
             trees.append(structure(got))
         assert any(a != b for a, b in zip(trees, trees[1:]))
 
@@ -234,7 +235,7 @@ class TestIncrementalCluster:
         analyzer = WhirlToolAnalyzer()
         cache = IncrementalClusterCache()
         before = analyzer.cluster_incremental(profile_prefix(profile, 7), cache)
-        want = analyzer.cluster_reference(profile)
+        want = cluster_reference(profile)
         counts = spy_kernels(monkeypatch)
         got = analyzer.cluster_incremental(profile, cache)
         assert structure(got) == structure(before)
@@ -276,7 +277,7 @@ class TestIncrementalCluster:
         cache = IncrementalClusterCache()
         analyzer.cluster_incremental(early, cache)
         seen = {key: cache.seen(key) for key in cache.pools}
-        want = analyzer.cluster_reference(grown)
+        want = cluster_reference(grown)
         counts = spy_kernels(monkeypatch)
         got = analyzer.cluster_incremental(grown, cache)
         assert_same_result(got, want)
@@ -292,7 +293,7 @@ class TestIncrementalCluster:
         analyzer.cluster_incremental(profile, cache)
         prefix = profile_prefix(profile, 3)
         got = analyzer.cluster_incremental(prefix, cache)
-        assert_same_result(got, analyzer.cluster_reference(prefix))
+        assert_same_result(got, cluster_reference(prefix))
         assert all(len(r) == 3 for r, __ in cache.pools.values())
 
     def test_grid_change_invalidates(self):
@@ -306,14 +307,21 @@ class TestIncrementalCluster:
         )
         b = CallpointProfile(curves=curves, n_intervals=4)
         got = analyzer.cluster_incremental(b, cache)
-        assert_same_result(got, analyzer.cluster_reference(b))
+        assert_same_result(got, cluster_reference(b))
         assert cache.grid == (1024, 6)
 
     def test_single_leaf_falls_back(self):
+        # One leaf is its own tree: no merges, and a warm cache, which
+        # holds another profile's tree, is dropped.
         profile = make_profile(3, n_regions=1)
         analyzer = WhirlToolAnalyzer()
-        got = analyzer.cluster_incremental(profile, IncrementalClusterCache())
-        assert_same_result(got, analyzer.cluster_reference(profile))
+        cache = IncrementalClusterCache()
+        analyzer.cluster_incremental(make_profile(3), cache)
+        assert cache.pools and cache.terms and cache.grid is not None
+        got = analyzer.cluster_incremental(profile, cache)
+        assert got.merges == []
+        assert_same_result(got, cluster_reference(profile))
+        assert cache.pools == {} and cache.terms == {} and cache.grid is None
 
 
 class TestPhaseDetector:
@@ -478,6 +486,17 @@ def write_csv(path, n=900, n_regions=3, seed=0):
             f.write(f"{addr},{region}\n")
 
 
+#: Small text captures whose header or region columns are irregular.
+TEXT_CAPTURES = {
+    "attributed_then_bare.csv": "0x40,1\n0x80\n",
+    "bare_then_attributed.csv": "0x40\n0x80,1\n",
+    "odd_header.csv": "a,b\n0x40,1\n",
+    "later_header.csv": "0x40,1\naddr,region\n",
+    "attributed_then_bare.jsonl": '{"addr": 64, "region": 1}\n{"addr": 128}\n',
+    "null_region.jsonl": '{"addr": 64, "region": null}\n',
+}
+
+
 class TestWatch:
     def test_follow_lines_sees_late_writes(self):
         class GrowingStream:
@@ -526,6 +545,38 @@ class TestWatch:
         chunks = list(sized.chunks(1 << 21))
         want = np.concatenate([c.addrs for c in chunks])
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", list(TEXT_CAPTURES))
+    def test_stream_source_reads_text_like_sized_reader(self, tmp_path, name):
+        # Either both readers raise or both give the same records.
+        from repro.ingest import open_trace_source
+
+        path = tmp_path / name
+        path.write_text(TEXT_CAPTURES[name])
+        fmt = path.suffix[1:]
+
+        def records(source):
+            chunks = list(source.chunks(64))
+            addrs = np.concatenate([c.addrs for c in chunks])
+            regions = [c.regions for c in chunks]
+            if any(r is None for r in regions):
+                assert all(r is None for r in regions)
+                return addrs.tolist(), None
+            return addrs.tolist(), np.concatenate(regions).tolist()
+
+        def outcome(open_source):
+            try:
+                return records(open_source())
+            except ValueError:
+                return "raises"
+
+        sized = outcome(lambda: open_trace_source(str(path), fmt=fmt))
+        streamed = outcome(
+            lambda: open_stream_source(
+                str(path), fmt=fmt, idle_timeout=0.0, batch_records=1
+            )
+        )
+        assert streamed == sized
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="followable"):
