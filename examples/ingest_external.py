@@ -8,15 +8,15 @@ produces) plus an allocation log — then ingests it:
 1. attribute raw addresses to Whirlpool regions via the allocation log
    (unattributed addresses fall into the "heap" pool),
 2. convert to the native ``.rtrace`` archive (content-fingerprinted),
-3. register it under ``$REPRO_TRACE_DIR`` so every scheme, sweep and
-   campaign can run it by name,
+3. publish it into the artifact store under a workload name, so every
+   scheme, sweep and campaign can run it by name,
 4. profile it **out of core** with the streaming engine and check the
    curves are bit-identical to the in-memory profiler.
 
 Run:  python examples/ingest_external.py
+(the store is ``$REPRO_STORE_DIR``, else the checkout's ``.repro_store``)
 """
 
-import os
 import tempfile
 from pathlib import Path
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.ingest import (
     ArraySource,
+    AttributedSource,
     AttributionTable,
     RTraceSource,
     StreamingStackProfiler,
@@ -69,28 +70,28 @@ def main() -> None:
     # 1+2. Attribute and convert (equivalent CLI:
     #   python -m repro ingest convert capture.mtrace app.rtrace \
     #       --alloc-log allocs.jsonl --apki 12)
-    source = open_trace_source(trace_path)
-    table = AttributionTable.from_log(log_path)
+    source = AttributedSource(
+        open_trace_source(trace_path), AttributionTable.from_log(log_path)
+    )
     archive = workdir / "extapp.rtrace"
-    header = convert_to_rtrace(source, archive, table=table, apki=12.0)
+    header = convert_to_rtrace(source, archive, apki=12.0)
     print(f"converted: {header['n_records']} records, "
           f"regions {sorted(header['region_names'].values())}, "
           f"fingerprint {header['fingerprint']}")
 
-    # 3. Register: any `<name>.rtrace` in $REPRO_TRACE_DIR resolves by
-    #    name (equivalent CLI: python -m repro ingest register ...).
-    traces_dir = workdir / "traces"
-    traces_dir.mkdir()
-    (traces_dir / "extapp.rtrace").write_bytes(archive.read_bytes())
-    os.environ["REPRO_TRACE_DIR"] = str(traces_dir)
+    # 3. Register: a name bound in the artifact store resolves
+    #    everywhere (equivalent CLI:
+    #    python -m repro ingest register extapp.rtrace --name extapp).
+    from repro.store import ArtifactStore, publish_trace
     from repro.workloads import build_workload
 
+    __, stored = publish_trace(ArtifactStore(), archive, name="extapp")
     workload = build_workload("extapp")
     print(f"registered workload: {workload.name}, "
           f"{len(workload.trace)} accesses, apki {workload.trace.apki:.1f}")
 
     # 4. Out-of-core profiling, bit-identical to in-memory.
-    rtrace = RTraceSource(traces_dir / "extapp.rtrace")
+    rtrace = RTraceSource(stored)
     streaming = StreamingStackProfiler(chunk_bytes=64 * 1024, n_chunks=64)
     got = streaming.profile_source(rtrace, n_intervals=4,
                                    chunk_records=1 << 16)

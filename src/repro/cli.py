@@ -52,7 +52,7 @@ def _cmd_list_apps(args: argparse.Namespace) -> int:
 
     ingested = ingested_apps()
     if ingested:
-        print("\ningested traces ($REPRO_TRACE_DIR):")
+        print("\ningested traces:")
         for name in ingested:
             print(f"  {name}")
     return 0
@@ -568,21 +568,13 @@ def _ingest_validate(args: argparse.Namespace, ingest) -> int:
 
 
 def _ingest_register(args: argparse.Namespace, ingest) -> int:
+    """Publish a trace into the artifact store under a workload name."""
     import os
-    import shutil
+    import zipfile
 
-    from repro.workloads.registry import TRACE_DIR_ENV
+    from repro.store import ArtifactStore, check_name, publish_trace
 
-    root = args.trace_dir or os.environ.get(TRACE_DIR_ENV)
-    if root is None:
-        # No legacy trace directory: publish into the artifact store
-        # (content-addressed, name bound through the store's index).
-        return _ingest_register_store(args, ingest)
-    from pathlib import Path
-
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    name = args.name or Path(args.path).stem
+    name = args.name if args.name is not None else Path(args.path).stem
     if name in ALL_APPS:
         # The registry resolves built-ins first, so a shadowed trace
         # would be registered but unreachable.
@@ -591,73 +583,7 @@ def _ingest_register(args: argparse.Namespace, ingest) -> int:
             file=sys.stderr,
         )
         return 2
-    dst = root / f"{name}.rtrace"
-    fmt = args.format or ingest.detect_format(args.path)
-    # Stage in the same directory and os.replace at the end: the trace
-    # dir is shared with campaign workers resolving names concurrently,
-    # and a failed registration must not destroy an existing archive.
-    # The temp suffix is NOT .rtrace, so a crash leftover can never be
-    # listed as a phantom workload by the registry's glob.
-    tmp = root / f".{name}.{os.getpid()}.rtrace-tmp"
-    try:
-        if (
-            fmt == "rtrace"
-            and args.alloc_log is None
-            and not _pipeline_only_flags(args)
-        ):
-            staged = ingest.RTraceSource(args.path)  # structural check
-            if staged.instructions is None:
-                # Reject before copying a potentially huge archive.
-                print(
-                    "trace carries no instruction count; re-run with "
-                    "--instructions or --apki",
-                    file=sys.stderr,
-                )
-                return 2
-            shutil.copyfile(args.path, tmp)
-        else:
-            source = _open_ingest_source(args, ingest)
-            header = ingest.convert_to_rtrace(
-                source,
-                tmp,
-                line_bytes=args.line_bytes,
-                instructions=args.instructions,
-                apki=args.apki,
-                dedup=args.dedup,
-                max_records=args.chunk_records,
-            )
-            # Fail registration, not first use: a trace without an
-            # instruction count cannot be simulated.
-            if header["instructions"] is None:
-                print(
-                    "trace carries no instruction count; re-run with "
-                    "--instructions or --apki",
-                    file=sys.stderr,
-                )
-                return 2
-        os.replace(tmp, dst)
-    finally:
-        tmp.unlink(missing_ok=True)
-    print(f"registered {name!r} -> {dst}")
-    print(f'run it with: python -m repro run {name}')
-    return 0
-
-
-def _ingest_register_store(args: argparse.Namespace, ingest) -> int:
-    """Register a trace into the artifact store (no legacy trace dir)."""
-    import os
-    import zipfile
-    from pathlib import Path
-
-    from repro.store import ArtifactStore, publish_trace
-
-    name = args.name or Path(args.path).stem
-    if name in ALL_APPS:
-        print(
-            f"{name!r} is a built-in benchmark; pick another --name",
-            file=sys.stderr,
-        )
-        return 2
+    check_name(name)
     store = ArtifactStore()
     fmt = args.format or ingest.detect_format(args.path)
     if (
@@ -686,6 +612,8 @@ def _ingest_register_store(args: argparse.Namespace, ingest) -> int:
                 max_records=args.chunk_records,
                 compression=zipfile.ZIP_STORED,
             )
+            # Fail registration, not first use: a trace without an
+            # instruction count cannot be simulated.
             if header["instructions"] is None:
                 print(
                     "trace carries no instruction count; re-run with "
@@ -996,13 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument(
         "--name", default=None,
         help="register: workload name (default: file stem)",
-    )
-    p_ing.add_argument(
-        "--trace-dir", default=None,
-        help=(
-            "register: legacy destination directory (default: "
-            "$REPRO_TRACE_DIR, else the artifact store)"
-        ),
     )
     p_ing.add_argument(
         "--epoch-records", type=int, default=1 << 16,

@@ -9,18 +9,22 @@ sweep and campaign can run.
 The pipeline::
 
     open_trace_source(path)          # pluggable format readers
-      -> AttributionTable.attribute  # address ranges -> Whirlpool regions
+      -> AttributedSource(source, table)  # address ranges -> regions
       -> convert_to_rtrace / materialize
-      -> workloads.registry          # `python -m repro ingest register`
+      -> store.publish_trace         # `python -m repro ingest register`
 
-and, for traces too large to hold in memory,
-:class:`StreamingStackProfiler` profiles straight off the chunk stream,
-bit-identical to the in-memory engine.
+A published trace is bound to a workload name in the artifact store
+(:mod:`repro.store`), the one persistent home of registered traces,
+and resolves through :func:`repro.workloads.build_workload`.  For
+traces too large to hold in memory, :class:`StreamingStackProfiler`
+profiles straight off the chunk stream, bit-identical to the in-memory
+engine.
 
 Live traffic is ingested the same way: :func:`open_stream_source`
 follows a growing text trace (or stdin) as an *unbounded*
-:class:`IterableSource` (``n_records is None``), and :func:`run_watch`
-classifies it epoch-by-epoch (``python -m repro ingest watch``).
+:class:`IterableSource` (``n_records is None``), read by the sized
+readers' own line parsers, and :func:`run_watch` classifies it
+epoch-by-epoch (``python -m repro ingest watch``).
 """
 
 from repro.ingest.attribute import FALLBACK_NAME, AttributionTable

@@ -20,8 +20,14 @@ rtrace    .rtrace                     native chunked-npz archive (header
 
 Readers are :class:`~repro.ingest.source.TraceSource` classes registered
 in :data:`FORMATS`; :func:`open_trace_source` resolves a path by explicit
-name, extension, or content sniffing.  Writers stream any source out
-chunk by chunk, so conversion never materializes the trace.
+name, extension, or content sniffing.  The three text formats read
+one way: each has one line parser (its ``line_parser``), and one
+batcher turns parsed lines into chunks.  A sized reader's pre-scan, its
+``chunks()`` and ``ingest watch``
+(:func:`~repro.ingest.watch.open_stream_source`) all use them, so they
+read the same records and fail with the same ``path:line`` error.
+Writers stream any source out chunk by chunk, so conversion never
+materializes the trace, and a failed export leaves no file.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import json
 import time
 import zipfile
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -60,35 +66,226 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Valgrind Lackey text (--tool=lackey --trace-mem=yes)
+# Text captures (lackey / csv / jsonl): one record per line
 # ----------------------------------------------------------------------
+
+#: A line parser: a stripped, non-blank line -> ``(addr, region)``, with
+#: region None for a bare record, or None for a line that holds no record.
+LineParser = Callable[[str], "tuple[int, int | None] | None"]
+
+#: Largest byte address (int64) and region id (int32) a record may carry.
+_MAX_ADDR = (1 << 63) - 1
+_MAX_REGION = (1 << 31) - 1
+
+#: Records per chunk while a sized text reader pre-scans its capture.
+_SCAN_RECORDS = 1 << 16
 
 #: Lackey ops that are data references (instruction fetches are "I").
 _LACKEY_DATA_OPS = frozenset("LSM")
 
 
-def _lackey_records(path: Path) -> Iterator[tuple[str, int]]:
-    """Yield (op, byte address) for every well-formed record line."""
-    with open(path, "r", errors="replace") as f:
-        for raw in f:
-            s = raw.strip()
-            if not s or s[0] == "=":  # valgrind ==pid== banner lines
-                continue
-            op = s[0]
-            if op != "I" and op not in _LACKEY_DATA_OPS:
-                continue
-            body = s[1:].strip()
-            addr_text = body.split(",", 1)[0].strip()
-            if not addr_text:
-                raise ValueError(f"malformed lackey record: {raw!r}")
-            try:
-                addr = int(addr_text, 16)
-            except ValueError:
-                raise ValueError(f"malformed lackey record: {raw!r}") from None
-            yield op, addr
+def _lackey_parser() -> LineParser:
+    """A Lackey parser that counts ``I`` records in ``parse.instructions``.
+
+    Data records are ``L``, ``S`` or ``M`` followed by ``addr,size``, the
+    address in hex.  ``I`` records are instruction fetches; valgrind's
+    ``==pid==`` banners and other lines hold no record.
+    """
+
+    def parse(s: str) -> tuple[int, None] | None:
+        op = s[0]
+        if op == "I":
+            parse.instructions += 1
+            return None
+        if op not in _LACKEY_DATA_OPS:
+            return None
+        try:
+            return int(s[1:].split(",", 1)[0], 16), None
+        except ValueError:
+            raise ValueError(f"malformed lackey record: {s!r}") from None
+
+    parse.instructions = 0
+    return parse
 
 
-class LackeySource:
+def _parse_int(text: str) -> int:
+    """A decimal or 0x-hex integer (surrounding whitespace allowed)."""
+    return int(text, 16) if "x" in text or "X" in text else int(text)
+
+
+def _csv_parser() -> LineParser:
+    """A CSV parser: ``addr[,region]`` rows, decimal or 0x-hex.
+
+    A first row whose address is not an integer is a header; a later one
+    is malformed.  An empty region column makes the row bare.
+    """
+    header_allowed = True
+
+    def parse(s: str) -> tuple[int, int | None] | None:
+        nonlocal header_allowed
+        cols = s.split(",")
+        try:
+            addr = _parse_int(cols[0])
+        except ValueError:
+            if header_allowed:
+                header_allowed = False
+                return None
+            raise ValueError(f"malformed csv record: {s!r}") from None
+        header_allowed = False
+        if len(cols) < 2:
+            return addr, None
+        try:
+            return addr, _parse_int(cols[1])
+        except ValueError:
+            if cols[1].strip():
+                raise ValueError(f"malformed csv record: {s!r}") from None
+            return addr, None
+
+    return parse
+
+
+def _jsonl_parser() -> LineParser:
+    """A JSONL parser: one ``{"addr": ..., "region": ...}`` object per line.
+
+    A present ``region`` key attributes the record.  Both fields must be
+    JSON integers: truncating 1.9 to 1 would alias distinct addresses.
+    """
+
+    def parse(s: str) -> tuple[int, int | None]:
+        try:
+            obj = json.loads(s)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
+        if type(obj) is not dict or "addr" not in obj:
+            raise ValueError(
+                f"expected an object with an 'addr' field, got {s[:60]!r}"
+            )
+        addr = obj["addr"]
+        if type(addr) is not int:  # bool and float are not int here
+            raise ValueError(f"'addr' must be a JSON integer, got {addr!r}")
+        if "region" not in obj:
+            return addr, None
+        region = obj["region"]
+        if type(region) is not int:
+            raise ValueError(
+                f"'region' must be a JSON integer, got {region!r}"
+            )
+        return addr, region
+
+    return parse
+
+
+def _out_of_range(what: str, value: int, dtype: str) -> str:
+    if value < 0:
+        return f"negative {what} {value}"
+    return f"{what} {value} does not fit in {dtype}"
+
+
+def _chunks_from_lines(
+    lines: Iterable[str],
+    parse: LineParser,
+    max_records: int,
+    where: str,
+) -> Iterator[TraceChunk]:
+    """Batch one text capture's records into chunks of at most ``max_records``.
+
+    Blank lines are skipped and ``parse`` reads every other line.  Record
+    1 decides whether the capture is attributed: a later record that
+    differs is an error, as are an address outside int64 and a region id
+    outside int32.  Every error is prefixed with ``where:line``.
+    """
+    if max_records <= 0:
+        raise ValueError(f"max_records must be positive, got {max_records}")
+    addrs: list[int] = []
+    regions: list[int] = []
+    attributed: bool | None = None
+    first = lineno = 0
+    try:
+        for lineno, line in enumerate(lines, 1):
+            s = line.strip()
+            if not s:
+                continue
+            record = parse(s)
+            if record is None:
+                continue
+            addr, region = record
+            if not 0 <= addr <= _MAX_ADDR:
+                raise ValueError(_out_of_range("address", addr, "int64"))
+            if attributed is None:
+                attributed, first = region is not None, lineno
+            elif attributed is (region is None):
+                raise ValueError(
+                    f"record {'has no' if attributed else 'has a'} region, "
+                    f"unlike the first record (line {first}): the capture "
+                    "mixes attributed and bare records"
+                )
+            addrs.append(addr)
+            if attributed:
+                if not 0 <= region <= _MAX_REGION:
+                    raise ValueError(_out_of_range("region", region, "int32"))
+                regions.append(region)
+            if len(addrs) >= max_records:
+                yield _text_chunk(addrs, regions, attributed)
+                addrs, regions = [], []
+    except ValueError as exc:
+        raise ValueError(f"{where}:{lineno}: {exc}") from None
+    if addrs:
+        yield _text_chunk(addrs, regions, attributed)
+
+
+def _text_chunk(
+    addrs: list[int], regions: list[int], attributed: bool | None
+) -> TraceChunk:
+    return TraceChunk(
+        addrs=np.array(addrs, dtype=np.int64),
+        regions=np.array(regions, dtype=np.int32) if attributed else None,
+    )
+
+
+class _TextSource:
+    """A sized reader over a text capture of one record per line.
+
+    Opening reads the whole capture through the format's
+    ``line_parser`` and the shared batcher, as :meth:`chunks` does, so a
+    malformed capture fails here with its ``path:line`` and
+    ``n_records`` is exact.  A parser that counts instructions (Lackey's
+    ``I`` records) sets ``instructions``.
+    """
+
+    line_parser: Callable[[], LineParser]
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.line_bytes = 64
+        self.region_names: dict[int, str] = {}
+        parse = self.line_parser()
+        self.n_records = sum(map(len, self._read(parse, _SCAN_RECORDS)))
+        n_instr = getattr(parse, "instructions", 0)
+        self.instructions = float(n_instr) if n_instr else None
+
+    def chunks(
+        self, max_records: int = DEFAULT_CHUNK_RECORDS
+    ) -> Iterator[TraceChunk]:
+        return self._read(self.line_parser(), max_records)
+
+    def _read(
+        self, parse: LineParser, max_records: int
+    ) -> Iterator[TraceChunk]:
+        with open(self.path, "r", errors="replace") as f:
+            yield from _chunks_from_lines(
+                f, parse, max_records, str(self.path)
+            )
+
+
+def _ascii_lines(head: bytes) -> list[str]:
+    """A sniffed head's lines; none when it is not ASCII text."""
+    try:
+        return head.decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        return []
+
+
+class LackeySource(_TextSource):
     """Valgrind Lackey memory-trace text.
 
     Instruction-fetch records ("I") are not data accesses, but their
@@ -98,28 +295,11 @@ class LackeySource:
 
     name = "lackey"
     extensions = (".lackey", ".vgtrace")
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        n_data = 0
-        n_instr = 0
-        for op, _ in _lackey_records(self.path):
-            if op == "I":
-                n_instr += 1
-            else:
-                n_data += 1
-        self.n_records = n_data
-        self.instructions = float(n_instr) if n_instr else None
-        self.line_bytes = 64
-        self.region_names: dict[int, str] = {}
+    line_parser = staticmethod(_lackey_parser)
 
     @staticmethod
     def sniff(head: bytes) -> bool:
-        try:
-            text = head.decode("ascii")
-        except UnicodeDecodeError:
-            return False
-        for line in text.splitlines()[:10]:
+        for line in _ascii_lines(head)[:10]:
             s = line.strip()
             if not s or s[0] == "=":
                 continue
@@ -128,21 +308,38 @@ class LackeySource:
             )
         return False
 
-    def chunks(
-        self, max_records: int = DEFAULT_CHUNK_RECORDS
-    ) -> Iterator[TraceChunk]:
-        if max_records <= 0:
-            raise ValueError(f"max_records must be positive, got {max_records}")
-        buf: list[int] = []
-        for op, addr in _lackey_records(self.path):
-            if op == "I":
-                continue
-            buf.append(addr)
-            if len(buf) >= max_records:
-                yield TraceChunk(addrs=np.array(buf, dtype=np.int64))
-                buf = []
-        if buf:
-            yield TraceChunk(addrs=np.array(buf, dtype=np.int64))
+
+class CSVSource(_TextSource):
+    """``addr[,region]`` rows; decimal or 0x-hex; optional header line."""
+
+    name = "csv"
+    extensions = (".csv",)
+    line_parser = staticmethod(_csv_parser)
+
+    @staticmethod
+    def sniff(head: bytes) -> bool:
+        first = next((ln for ln in _ascii_lines(head) if ln.strip()), "")
+        cols = [c.strip() for c in first.split(",")]
+        if cols[0].lower() in ("addr", "address"):
+            return True
+        try:
+            _parse_int(cols[0])
+        except ValueError:
+            return False
+        return True
+
+
+class JSONLSource(_TextSource):
+    """One ``{"addr": ..., "region": ...}`` object per line."""
+
+    name = "jsonl"
+    extensions = (".jsonl", ".ndjson")
+    line_parser = staticmethod(_jsonl_parser)
+
+    @staticmethod
+    def sniff(head: bytes) -> bool:
+        first = next((ln for ln in _ascii_lines(head) if ln.strip()), "")
+        return first.lstrip().startswith("{") and "addr" in first
 
 
 # ----------------------------------------------------------------------
@@ -221,197 +418,6 @@ class MTraceSource:
                     )
                 remaining -= count
                 yield TraceChunk(addrs=records["addr"].astype(np.int64))
-
-
-# ----------------------------------------------------------------------
-# CSV / JSONL text
-# ----------------------------------------------------------------------
-
-
-def _parse_int(text: str) -> int:
-    text = text.strip()
-    if text.lower().startswith(("0x", "-0x")):
-        return int(text, 16)
-    return int(text, 10)
-
-
-class CSVSource:
-    """``addr[,region]`` rows; decimal or 0x-hex; optional header line."""
-
-    name = "csv"
-    extensions = (".csv",)
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.line_bytes = 64
-        self.instructions: float | None = None
-        self.region_names: dict[int, str] = {}
-        self._has_header = False
-        self._has_regions = False
-        n = 0
-        for i, row in enumerate(self._rows()):
-            if i == 0:
-                try:
-                    _parse_int(row[0])
-                except ValueError:
-                    self._has_header = True
-                    continue
-            n += 1
-            if len(row) > 1 and row[1]:
-                self._has_regions = True
-        self.n_records = n
-
-    def _rows(self) -> Iterator[list[str]]:
-        with open(self.path, "r", errors="replace") as f:
-            for raw in f:
-                s = raw.strip()
-                if s:
-                    yield [c.strip() for c in s.split(",")]
-
-    @staticmethod
-    def sniff(head: bytes) -> bool:
-        try:
-            text = head.decode("ascii")
-        except UnicodeDecodeError:
-            return False
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
-        cols = [c.strip() for c in first.split(",")]
-        if cols and cols[0].lower() in ("addr", "address"):
-            return True
-        try:
-            _parse_int(cols[0])
-        except (ValueError, IndexError):
-            return False
-        return True
-
-    def chunks(
-        self, max_records: int = DEFAULT_CHUNK_RECORDS
-    ) -> Iterator[TraceChunk]:
-        if max_records <= 0:
-            raise ValueError(f"max_records must be positive, got {max_records}")
-        addrs: list[int] = []
-        regions: list[int] = []
-        for i, row in enumerate(self._rows()):
-            if i == 0 and self._has_header:
-                continue
-            addrs.append(_parse_int(row[0]))
-            if self._has_regions:
-                if len(row) < 2 or not row[1]:
-                    raise ValueError(
-                        f"{self.path}: row {i + 1} is missing its region "
-                        "column (file mixes attributed and bare rows)"
-                    )
-                regions.append(_parse_int(row[1]))
-            if len(addrs) >= max_records:
-                yield self._chunk(addrs, regions)
-                addrs, regions = [], []
-        if addrs:
-            yield self._chunk(addrs, regions)
-
-    def _chunk(self, addrs: list[int], regions: list[int]) -> TraceChunk:
-        return TraceChunk(
-            addrs=np.array(addrs, dtype=np.int64),
-            regions=(
-                np.array(regions, dtype=np.int32)
-                if self._has_regions
-                else None
-            ),
-        )
-
-
-class JSONLSource:
-    """One ``{"addr": ..., "region": ...}`` object per line."""
-
-    name = "jsonl"
-    extensions = (".jsonl", ".ndjson")
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.line_bytes = 64
-        self.instructions: float | None = None
-        self.region_names: dict[int, str] = {}
-        self._has_regions = False
-        n = 0
-        for obj in self._objects():
-            n += 1
-            if "region" in obj:
-                self._has_regions = True
-        self.n_records = n
-
-    def _objects(self) -> Iterator[dict]:
-        with open(self.path, "r", errors="replace") as f:
-            for lineno, raw in enumerate(f, 1):
-                s = raw.strip()
-                if not s:
-                    continue
-                try:
-                    obj = json.loads(s)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: invalid JSON: {exc}"
-                    ) from None
-                if not isinstance(obj, dict) or "addr" not in obj:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: expected an object with "
-                        f"an 'addr' field, got {s[:60]!r}"
-                    )
-                yield obj
-
-    @staticmethod
-    def sniff(head: bytes) -> bool:
-        try:
-            text = head.decode("ascii")
-        except UnicodeDecodeError:
-            return False
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return first.lstrip().startswith("{") and "addr" in first
-
-    @staticmethod
-    def _int_field(obj: dict, key: str, path, n: int) -> int:
-        # Reject JSON floats instead of truncating: 1.9 -> 1 would
-        # silently alias distinct addresses (same invariant Trace and
-        # TraceBuilder enforce downstream).
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"{path}: record {n}: {key!r} must be a JSON integer, "
-                f"got {value!r}"
-            )
-        return value
-
-    def chunks(
-        self, max_records: int = DEFAULT_CHUNK_RECORDS
-    ) -> Iterator[TraceChunk]:
-        if max_records <= 0:
-            raise ValueError(f"max_records must be positive, got {max_records}")
-        addrs: list[int] = []
-        regions: list[int] = []
-        for obj in self._objects():
-            addrs.append(self._int_field(obj, "addr", self.path, len(addrs) + 1))
-            if self._has_regions:
-                if "region" not in obj:
-                    raise ValueError(
-                        f"{self.path}: record {len(addrs)} is missing its "
-                        "'region' field (file mixes attributed and bare rows)"
-                    )
-                regions.append(
-                    self._int_field(obj, "region", self.path, len(addrs))
-                )
-            if len(addrs) >= max_records:
-                yield self._chunk(addrs, regions)
-                addrs, regions = [], []
-        if addrs:
-            yield self._chunk(addrs, regions)
-
-    def _chunk(self, addrs: list[int], regions: list[int]) -> TraceChunk:
-        return TraceChunk(
-            addrs=np.array(addrs, dtype=np.int64),
-            regions=(
-                np.array(regions, dtype=np.int32)
-                if self._has_regions
-                else None
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -712,34 +718,29 @@ def _write_mtrace(path: Path, source: TraceSource, max_records: int) -> None:
             "unbounded source (n_records is None) — convert to a sized "
             "format (csv/jsonl/rtrace) instead"
         )
-    try:
-        with open(path, "wb") as f:
-            f.write(_MTRACE_MAGIC)
-            # Explicit little-endian, like the record body: native order
-            # would corrupt the header on big-endian hosts.
-            f.write(np.uint64(source.n_records).astype("<u8").tobytes())
-            instr = source.instructions
-            f.write(
-                np.float64(instr if instr is not None else np.nan)
-                .astype("<f8")
-                .tobytes()
-            )
-            n_written = 0
-            for chunk in source.chunks(max_records):
-                records = np.zeros(len(chunk), dtype=MTRACE_RECORD)
-                records["addr"] = chunk.addrs.astype(np.uint64)
-                records["size"] = source.line_bytes
-                records.tofile(f)
-                n_written += len(chunk)
-        if n_written != source.n_records:
-            raise ValueError(
-                f"source yielded {n_written} records but declared "
-                f"{source.n_records}; refusing to leave a lying header"
-            )
-    except BaseException:
-        # Never leave a header that lies about its body.
-        path.unlink(missing_ok=True)
-        raise
+    with open(path, "wb") as f:
+        f.write(_MTRACE_MAGIC)
+        # Explicit little-endian, like the record body: native order
+        # would corrupt the header on big-endian hosts.
+        f.write(np.uint64(source.n_records).astype("<u8").tobytes())
+        instr = source.instructions
+        f.write(
+            np.float64(instr if instr is not None else np.nan)
+            .astype("<f8")
+            .tobytes()
+        )
+        n_written = 0
+        for chunk in source.chunks(max_records):
+            records = np.zeros(len(chunk), dtype=MTRACE_RECORD)
+            records["addr"] = chunk.addrs.astype(np.uint64)
+            records["size"] = source.line_bytes
+            records.tofile(f)
+            n_written += len(chunk)
+    if n_written != source.n_records:
+        raise ValueError(
+            f"source yielded {n_written} records but declared "
+            f"{source.n_records}; refusing to leave a lying header"
+        )
 
 
 def _write_csv(path: Path, source: TraceSource, max_records: int) -> None:
@@ -867,6 +868,8 @@ def write_trace_file(
         fmt: one of :data:`WRITERS`; inferred from the extension when
             omitted.
         max_records: chunk size to stream with.
+
+    A failed export leaves no file at ``path``.
     """
     path = Path(path)
     if fmt is None:
@@ -886,4 +889,10 @@ def write_trace_file(
         raise ValueError(
             f"no writer for format {fmt!r}; known: {', '.join(sorted(WRITERS))}"
         ) from None
-    writer(path, source, max_records)
+    try:
+        writer(path, source, max_records)
+    except BaseException:
+        # A partial export reads as a whole, shorter trace (or an mtrace
+        # whose header lies about its body): never leave one behind.
+        path.unlink(missing_ok=True)
+        raise

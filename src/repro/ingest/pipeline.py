@@ -2,8 +2,10 @@
 
 :func:`convert_to_rtrace` is the workhorse behind ``python -m repro
 ingest convert``: it streams any :class:`TraceSource` through optional
-region attribution and optional private-cache dedup into an ``.rtrace``
-archive, in bounded memory.  :func:`materialize` produces an in-memory
+private-cache dedup into an ``.rtrace`` archive, in bounded memory.
+Attribution is a source like any other: :class:`AttributedSource`
+wraps a bare capture and an allocation log's :class:`AttributionTable`.
+:func:`materialize` produces an in-memory
 :class:`~repro.workloads.trace.Trace` the simulator can run directly,
 and :func:`load_workload` wraps a registered archive as a first-class
 :class:`~repro.workloads.trace.Workload`.
@@ -35,7 +37,7 @@ class AttributedSource:
     Chunks that already carry regions pass through unchanged; bare
     chunks get ``table.attribute`` applied.  Lets every consumer — the
     exporters, the streaming profiler, conversion — treat attribution
-    as just another source.
+    as just another source; it is the only way to attribute one.
     """
 
     def __init__(self, source: TraceSource, table: AttributionTable) -> None:
@@ -79,24 +81,16 @@ def resolve_instructions(
     return source.instructions
 
 
-def _chunk_regions(
-    chunk, table: AttributionTable | None
-) -> np.ndarray:
-    """Region ids for one chunk: carried, attributed, or fallback 0."""
+def _chunk_regions(chunk) -> np.ndarray:
+    """Region ids for one chunk: carried, or fallback 0."""
     if chunk.regions is not None:
         return chunk.regions
-    if table is not None:
-        return table.attribute(chunk.addrs)
     return np.zeros(len(chunk), dtype=np.int32)
 
 
-def _merged_names(
-    source: TraceSource, table: AttributionTable | None, has_regions: bool
-) -> dict[int, str]:
+def _merged_names(source: TraceSource, has_regions: bool) -> dict[int, str]:
     names = dict(source.region_names)
-    if table is not None:
-        names.update(table.region_names)
-    elif not has_regions and not names:
+    if not has_regions and not names:
         names[0] = FALLBACK_NAME
     return names
 
@@ -104,7 +98,6 @@ def _merged_names(
 def convert_to_rtrace(
     source: TraceSource,
     dst: str | Path,
-    table: AttributionTable | None = None,
     line_bytes: int | None = None,
     instructions: float | None = None,
     apki: float | None = None,
@@ -115,10 +108,9 @@ def convert_to_rtrace(
     """Stream a source into a native ``.rtrace`` archive.
 
     Args:
-        source: any trace source.
+        source: any trace source; wrap it in :class:`AttributedSource`
+            to attribute a bare capture's regions.
         dst: destination ``.rtrace`` path.
-        table: optional attribution table for sources without regions
-            (sources that already carry regions keep them).
         line_bytes: cache-line size; defaults to the source's.
         instructions / apki: instruction count override (see
             :func:`resolve_instructions`).
@@ -145,7 +137,7 @@ def convert_to_rtrace(
     has_regions = False
     try:
         for chunk in source.chunks(max_records):
-            regions = _chunk_regions(chunk, table)
+            regions = _chunk_regions(chunk)
             has_regions = has_regions or chunk.regions is not None
             lines = chunk.addrs // line_bytes
             if repeats is not None:
@@ -160,13 +152,12 @@ def convert_to_rtrace(
         instructions=resolve_instructions(
             source, writer.n_records, instructions, apki
         ),
-        region_names=_merged_names(source, table, has_regions),
+        region_names=_merged_names(source, has_regions),
     )
 
 
 def materialize(
     source: TraceSource,
-    table: AttributionTable | None = None,
     line_bytes: int | None = None,
     instructions: float | None = None,
     apki: float | None = None,
@@ -174,19 +165,15 @@ def materialize(
 ) -> Trace:
     """Read a whole source into an in-memory :class:`Trace`.
 
-    The small-trace converse of the streaming path: attribution and
-    line conversion behave exactly like :func:`convert_to_rtrace`
-    without dedup.
+    The small-trace converse of the streaming path: regions and line
+    conversion behave exactly like :func:`convert_to_rtrace` without
+    dedup.
     """
     line_bytes = line_bytes if line_bytes is not None else source.line_bytes
     line_chunks: list[np.ndarray] = []
     region_chunks: list[np.ndarray] = []
     has_regions = False
-    if (
-        table is None
-        and line_bytes == source.line_bytes
-        and hasattr(source, "line_chunks")
-    ):
+    if line_bytes == source.line_bytes and hasattr(source, "line_chunks"):
         # Native archives store line ids directly: read them as-is
         # (zero-copy views when the archive is mappable) instead of the
         # lines * bytes -> addrs // bytes round trip, which is the
@@ -197,7 +184,7 @@ def materialize(
             region_chunks.append(regions)
     else:
         for chunk in source.chunks(max_records):
-            regions = _chunk_regions(chunk, table)
+            regions = _chunk_regions(chunk)
             has_regions = has_regions or chunk.regions is not None
             line_chunks.append(chunk.addrs // line_bytes)
             region_chunks.append(regions)
@@ -225,7 +212,7 @@ def materialize(
         ),
         instructions=instr,
         line_bytes=line_bytes,
-        region_names=_merged_names(source, table, has_regions),
+        region_names=_merged_names(source, has_regions),
     )
 
 

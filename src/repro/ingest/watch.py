@@ -10,26 +10,25 @@ seals (the ``python -m repro ingest watch`` command).
 
 Only the text formats (lackey / csv / jsonl) are followable: they are
 what live instrumentation pipes emit, and they can be parsed a line at
-a time without a record count up front.  Line parsing matches the
-sized readers in :mod:`repro.ingest.formats` — the same header rule,
-and the same rejection of captures that mix attributed and bare
-records — so a capture classified live and the same capture ingested
-after the fact see the same records or fail alike.
+a time without a record count up front.  A followed stream is read by
+the sized readers' own line parser and batcher (see
+:mod:`repro.ingest.formats`), so a capture classified live and the
+same capture ingested after the fact see the same records or fail with
+the same error, which names ``path:line`` (``<stdin>:line`` for a
+pipe).  Lines are numbered as the follower reads them, so after a log
+rotation the count runs on into the new file.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
-import numpy as np
-
 from repro import obs
-from repro.ingest.formats import _LACKEY_DATA_OPS, _parse_int
+from repro.ingest.formats import FORMATS, _chunks_from_lines
 from repro.ingest.source import IterableSource, TraceChunk
 from repro.retry import call_with_retries
 
@@ -171,136 +170,6 @@ def follow_lines(
             holder["stream"].close()
 
 
-# ----------------------------------------------------------------------
-# Line parsers (one record per text line, matching the sized readers)
-# ----------------------------------------------------------------------
-
-
-def _parse_lackey(line: str) -> tuple[int, int | None] | None:
-    s = line.strip()
-    if not s or s[0] == "=":
-        return None
-    op = s[0]
-    if op not in _LACKEY_DATA_OPS:
-        return None  # instruction fetches and noise are not data records
-    addr_text = s[1:].strip().split(",", 1)[0].strip()
-    if not addr_text:
-        raise ValueError(f"malformed lackey record: {line!r}")
-    try:
-        return int(addr_text, 16), None
-    except ValueError:
-        raise ValueError(f"malformed lackey record: {line!r}") from None
-
-
-def _csv_parser() -> Callable[[str], tuple[int, int | None] | None]:
-    """A CSV line parser for one stream.
-
-    Like :class:`~repro.ingest.formats.CSVSource`, a first row whose
-    address does not parse as an integer is a header; a later one is
-    malformed.
-    """
-    first = True
-
-    def parse(line: str) -> tuple[int, int | None] | None:
-        nonlocal first
-        s = line.strip()
-        if not s:
-            return None
-        cols = [c.strip() for c in s.split(",")]
-        header_allowed, first = first, False
-        try:
-            addr = _parse_int(cols[0])
-        except ValueError:
-            if header_allowed:
-                return None  # header line
-            raise ValueError(f"malformed csv record: {line!r}") from None
-        region = _parse_int(cols[1]) if len(cols) > 1 and cols[1] else None
-        return addr, region
-
-    return parse
-
-
-def _parse_jsonl(line: str) -> tuple[int, int | None] | None:
-    s = line.strip()
-    if not s:
-        return None
-    try:
-        obj = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON record: {exc}") from None
-    if not isinstance(obj, dict) or "addr" not in obj:
-        raise ValueError(
-            f"expected an object with an 'addr' field, got {s[:60]!r}"
-        )
-    # A present "region" key attributes the record, as in JSONLSource.
-    fields = {key: obj[key] for key in ("addr", "region") if key in obj}
-    for key, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"{key!r} must be a JSON integer, got {value!r}"
-            )
-    return fields["addr"], fields.get("region")
-
-
-#: Format -> a factory of line parsers, one per followed stream.
-_PARSERS: dict[
-    str, Callable[[], Callable[[str], tuple[int, int | None] | None]]
-] = {
-    "lackey": lambda: _parse_lackey,
-    "csv": _csv_parser,
-    "jsonl": lambda: _parse_jsonl,
-}
-
-
-def _chunks_from_lines(
-    lines: Iterator[str],
-    fmt: str,
-    batch_records: int,
-) -> Iterator[TraceChunk]:
-    """Batch parsed (addr, region) records into :class:`TraceChunk`\\ s.
-
-    The first record decides whether the stream carries regions.  Like
-    the sized readers, a capture that mixes attributed and bare records
-    is rejected: ``ValueError`` at the first record that differs.
-    """
-    parse = _PARSERS[fmt]()
-    addrs: list[int] = []
-    regions: list[int] = []
-    attributed: bool | None = None
-    n = 0
-    for line in lines:
-        rec = parse(line)
-        if rec is None:
-            continue
-        addr, region = rec
-        n += 1
-        if attributed is None:
-            attributed = region is not None
-        elif attributed != (region is not None):
-            raise ValueError(
-                f"record {n} {'has no' if attributed else 'has a'} region, "
-                "unlike record 1 (the capture mixes attributed and bare "
-                "records)"
-            )
-        addrs.append(addr)
-        if region is not None:
-            regions.append(region)
-        if len(addrs) >= batch_records:
-            yield _chunk(addrs, regions, bool(attributed))
-            addrs, regions = [], []
-    if addrs:
-        yield _chunk(addrs, regions, bool(attributed))
-
-
-def _chunk(
-    addrs: list[int], regions: list[int], attributed: bool
-) -> TraceChunk:
-    return TraceChunk(
-        addrs=np.array(addrs, dtype=np.int64),
-        regions=np.array(regions, dtype=np.int32) if attributed else None,
-    )
-
-
 def open_stream_source(
     path: str,
     fmt: str,
@@ -315,9 +184,9 @@ def open_stream_source(
     Args:
         path: file to follow, or ``"-"`` for stdin (stdin is a pipe:
             EOF ends the stream, no polling).
-        fmt: one of ``lackey`` / ``csv`` / ``jsonl`` (live streams
-            cannot be sized or content-sniffed, so the format is
-            explicit).
+        fmt: a registered format with a ``line_parser``: ``lackey`` /
+            ``csv`` / ``jsonl`` (live streams cannot be sized or
+            content-sniffed, so the format is explicit).
         line_bytes: cache-line size to profile at.
         batch_records: records per emitted chunk.
         poll_interval: seconds between EOF re-reads when following a
@@ -326,10 +195,13 @@ def open_stream_source(
             follow until interrupted; ``0``: read once to EOF).
         stream: pre-opened text stream (tests); overrides ``path``.
     """
-    if fmt not in _PARSERS:
+    followable = sorted(
+        name for name, cls in FORMATS.items() if hasattr(cls, "line_parser")
+    )
+    if fmt not in followable:
         raise ValueError(
             f"cannot follow format {fmt!r}; followable formats: "
-            f"{', '.join(sorted(_PARSERS))}"
+            f"{', '.join(followable)}"
         )
     if batch_records <= 0:
         raise ValueError(
@@ -354,8 +226,9 @@ def open_stream_source(
         try:
             yield from _chunks_from_lines(
                 follow_lines(f, poll_interval, timeout, path=watch_path),
-                fmt,
+                FORMATS[fmt].line_parser(),
                 batch_records,
+                "<stdin>" if path == "-" else str(Path(path)),
             )
         finally:
             if close:

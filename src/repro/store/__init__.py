@@ -11,6 +11,7 @@ from repro.store.artifacts import (
     ENV_STORE,
     KINDS,
     ArtifactStore,
+    check_name,
     default_root,
     provenance_record,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "KINDS",
     "ArtifactStore",
     "MappedArchive",
+    "check_name",
     "default_root",
     "load_profile",
     "npz_arrays",

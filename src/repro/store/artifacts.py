@@ -1,10 +1,12 @@
 """The content-addressed artifact store.
 
-One store unifies the repo's two fingerprint-keyed file piles — the
-profile cache (``.profile_cache/``) and the registered-trace directory
-(``$REPRO_TRACE_DIR``) — behind a single root with typed artifact
-kinds, provenance records, atomic publishes, and maintenance commands
-(``python -m repro store gc|verify|compact|status``).
+One root holds every fingerprint-keyed artifact the repo derives —
+cached profiles and registered traces — with typed artifact kinds,
+provenance records, atomic publishes, and maintenance commands
+(``python -m repro store gc|verify|compact|status``).  It is the only
+persistent home of registered traces, and the only writer of profiles
+(the committed ``.profile_cache/`` pile is a read-only fallback that
+``compact`` imports).
 
 Layout::
 
@@ -15,6 +17,8 @@ Layout::
                                              its content fingerprint
     <root>/traces/ab/<fingerprint>.json      provenance record
     <root>/names/<name>.json                 workload-name -> fingerprint
+                                             (a name is one path component
+                                             that does not start with ".")
     <root>/tmp/                              staging area (gc cleans it)
 
 Every payload lands via same-directory temp + ``os.replace``, so
@@ -42,6 +46,7 @@ __all__ = [
     "ENV_STORE",
     "KINDS",
     "ArtifactStore",
+    "check_name",
     "default_root",
     "provenance_record",
 ]
@@ -64,6 +69,21 @@ def default_root() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro" / "store"
+
+
+def check_name(name: str) -> str:
+    """Return ``name`` if it can name a workload, else raise ValueError.
+
+    A name becomes the file ``names/<name>.json``, so it must be one
+    visible path component: not empty, no ``/`` or ``\\``, and no
+    leading ``.`` (which would hide it from :meth:`ArtifactStore.names`).
+    """
+    if not name or "/" in name or "\\" in name or name.startswith("."):
+        raise ValueError(
+            f"invalid workload name {name!r}: a name must be non-empty, "
+            "must not contain '/' or '\\', and must not start with '.'"
+        )
+    return name
 
 
 def provenance_record(
@@ -183,7 +203,7 @@ class ArtifactStore:
     ) -> Path:
         """Bind a workload name to an artifact (atomic; last bind wins)."""
         self._ext(kind)
-        path = self.root / "names" / f"{name}.json"
+        path = self.root / "names" / f"{check_name(name)}.json"
         self._write_json(
             path,
             {
@@ -197,7 +217,7 @@ class ArtifactStore:
 
     def resolve_name(self, name: str) -> dict | None:
         """The name's binding record, or None (corrupt bindings read as None)."""
-        path = self.root / "names" / f"{name}.json"
+        path = self.root / "names" / f"{check_name(name)}.json"
         try:
             binding = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
@@ -213,9 +233,10 @@ class ArtifactStore:
         if not names_dir.is_dir():
             return out
         for path in sorted(names_dir.glob("*.json")):
-            if path.name.startswith("."):
+            try:
+                binding = self.resolve_name(path.stem)
+            except ValueError:  # a dotfile or other stray, not a name
                 continue
-            binding = self.resolve_name(path.stem)
             if binding is not None:
                 out[path.stem] = binding
         return out

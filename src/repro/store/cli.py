@@ -4,17 +4,14 @@
 - ``gc`` — remove staging temps, orphaned provenance, dead name
   bindings (never payloads); ``--dry-run`` reports without deleting.
 - ``verify`` — every payload parses and matches its fingerprint key.
-- ``compact`` — import legacy piles (``.profile_cache/``,
-  ``$REPRO_TRACE_DIR``) and rewrite compressed payloads into the
-  mappable layout.
+- ``compact`` — import the committed ``.profile_cache/`` pile and
+  rewrite compressed payloads into the mappable layout.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from repro.store.artifacts import ENV_STORE, ArtifactStore, provenance_record
 
@@ -79,10 +76,8 @@ def _store_compact(store: ArtifactStore, dry_run: bool) -> int:
 
 
 def _import_legacy(store: ArtifactStore, dry_run: bool) -> int:
-    """Pull legacy-pile artifacts (profiles + traces) into the store."""
+    """Pull the committed profile pile's artifacts into the store."""
     from repro.sim import profiling
-    from repro.store.traces import publish_trace
-    from repro.workloads import registry
 
     n = 0
     legacy_profiles = profiling._fixture_dir()
@@ -105,28 +100,6 @@ def _import_legacy(store: ArtifactStore, dry_run: bool) -> int:
                     inputs={"legacy_path": str(path)},
                 ),
             )
-    trace_root = os.environ.get(registry.TRACE_DIR_ENV)
-    if trace_root and Path(trace_root).is_dir():
-        for path in sorted(Path(trace_root).glob("*.rtrace")):
-            if path.name.startswith("."):
-                continue
-            binding = store.resolve_name(path.stem)
-            if binding and store.get("traces", binding["fingerprint"]):
-                continue
-            n += 1
-            print(f"  import trace {path.stem!r} <- {path}")
-            if dry_run:
-                continue
-            try:
-                publish_trace(
-                    store,
-                    path,
-                    name=path.stem,
-                    inputs={"legacy_path": str(path)},
-                )
-            except ValueError as exc:
-                print(f"  skipped {path}: {exc}", file=sys.stderr)
-                n -= 1
     return n
 
 

@@ -6,7 +6,9 @@ hashes the line/region arrays, not the container bytes), so an archive
 can be re-filed — or rewritten uncompressed for zero-copy readers —
 without changing its key.  Workload names attach through the store's
 name index rather than the filename, so one payload can serve many
-registrations.
+registrations.  This is the only persistent home of registered traces:
+``python -m repro ingest register`` publishes here, and
+:func:`repro.workloads.build_workload` resolves names here.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import zipfile
 from pathlib import Path
 
-from repro.store.artifacts import ArtifactStore, provenance_record
+from repro.store.artifacts import ArtifactStore, check_name, provenance_record
 
 __all__ = ["publish_trace"]
 
@@ -27,14 +29,16 @@ def publish_trace(
 ) -> tuple[str, Path]:
     """Publish an ``.rtrace`` archive into the store.
 
-    Validates the archive (parseable header, known instruction count —
-    the same bar ``register_trace`` sets), rewrites deflated members as
-    ``ZIP_STORED`` so reads can be mapped, publishes under the content
-    fingerprint, and binds ``name`` when given.  Returns
-    ``(fingerprint, payload_path)``.
+    Validates ``name`` (see :func:`check_name`) and the archive
+    (parseable header, known instruction count — a workload needs one),
+    rewrites deflated members as ``ZIP_STORED`` so reads can be mapped,
+    publishes under the content fingerprint, and binds ``name`` when
+    given.  Returns ``(fingerprint, payload_path)``.
     """
     from repro.ingest import RTraceSource
 
+    if name is not None:
+        check_name(name)
     src = Path(src)
     source = RTraceSource(src)  # raises ValueError on a malformed archive
     if source.instructions is None:

@@ -24,7 +24,6 @@ from repro.workloads.registry import (
     build_workload,
     ingested_apps,
     register_trace,
-    trace_dir,
 )
 from repro.workloads.trace import Trace, TraceBuilder, Workload
 
@@ -42,6 +41,5 @@ __all__ = [
     "partition_graph",
     "register_trace",
     "rmat_graph",
-    "trace_dir",
     "uniform_random_graph",
 ]

@@ -3,11 +3,15 @@
 The suite matches Appendix A: the 15 memory-intensive SPEC CPU2006 apps
 plus 16 PBBS apps (all but nbody), 31 in total (Fig 16/21).  The 12 apps
 ported by hand in Table 2 carry their manual pool classification.
+
+Ingested traces (:mod:`repro.ingest`) are workloads too.  A name that is
+not built in resolves in the process-local table of
+:func:`register_trace` first, then in the artifact store's name index,
+where ``python -m repro ingest register`` binds it.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Callable
 
@@ -42,7 +46,6 @@ __all__ = [
     "build_workload",
     "ingested_apps",
     "register_trace",
-    "trace_dir",
 ]
 
 #: PBBS builders (16 apps; Fig 16's right half).
@@ -92,27 +95,21 @@ MANUAL_APPS = [
 ]
 
 
-#: Environment variable naming the directory of registered ``.rtrace``
-#: archives (``python -m repro ingest register`` writes here).
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-
 #: Process-local name -> archive bindings (:func:`register_trace`).
 _REGISTERED_TRACES: dict[str, Path] = {}
-
-
-def trace_dir() -> Path | None:
-    """Directory scanned for ``<name>.rtrace`` archives, or None."""
-    root = os.environ.get(TRACE_DIR_ENV)
-    return Path(root) if root else None
 
 
 def register_trace(name: str, path: str | Path) -> None:
     """Bind an ingested ``.rtrace`` archive to a workload name.
 
     The binding is process-local; to make a trace visible to campaign
-    workers and future sessions, place it in ``$REPRO_TRACE_DIR``
-    instead (``python -m repro ingest register`` does both).
+    workers and later runs, publish it into the artifact store
+    instead (:func:`repro.store.publish_trace`, or ``python -m repro
+    ingest register``).
     """
+    from repro.store import check_name
+
+    check_name(name)
     if name in _BUILDERS:
         raise ValueError(
             f"cannot register trace {name!r}: the name belongs to a "
@@ -142,33 +139,16 @@ def _store_trace_names() -> dict[str, Path]:
 def ingested_apps() -> list[str]:
     """Names of ingested traces resolvable right now, sorted.
 
-    The union of all three resolution tiers: process-local
-    registrations, ``$REPRO_TRACE_DIR`` archives, and the artifact
-    store's name index.
+    Process-local registrations and the artifact store's name index.
     """
-    names = set(_REGISTERED_TRACES)
-    root = trace_dir()
-    if root is not None and root.is_dir():
-        # pathlib's glob matches dotfiles; skip hidden entries so e.g.
-        # staging temps never surface as phantom workloads.
-        names.update(
-            p.stem
-            for p in root.glob("*.rtrace")
-            if not p.name.startswith(".")
-        )
-    names.update(_store_trace_names())
-    return sorted(names)
+    return sorted(set(_REGISTERED_TRACES) | set(_store_trace_names()))
 
 
 def _ingested_path(name: str) -> Path | None:
+    """A name's archive: the process-local table first, then the store."""
     path = _REGISTERED_TRACES.get(name)
     if path is not None:
         return path
-    root = trace_dir()
-    if root is not None:
-        candidate = root / f"{name}.rtrace"
-        if candidate.exists():
-            return candidate
     from repro.store import ArtifactStore
 
     store = ArtifactStore()
@@ -183,7 +163,7 @@ def build_workload(name: str, scale: str = "ref", seed: int = 0) -> Workload:
 
     Args:
         name: one of :data:`ALL_APPS`, or an ingested trace name
-            (:func:`register_trace` / ``$REPRO_TRACE_DIR``).
+            (:func:`register_trace`, or bound in the artifact store).
         scale: "ref"/"large" (evaluation inputs) or "train"/"small"
             (WhirlTool profiling inputs).  Ingested traces are a single
             fixed capture, so scale is ignored for them.

@@ -3,6 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.ingest import (
+    ArraySource,
+    AttributedSource,
+    RTraceSource,
+    convert_to_rtrace,
+    materialize,
+    open_trace_source,
+    write_trace_file,
+)
 from repro.ingest.attribute import FALLBACK_NAME, AttributionTable
 from repro.mem.allocator import Allocation, HeapAllocator, allocation_ranges
 
@@ -192,3 +201,42 @@ class TestAttributionTable:
                 regions=np.array([1]),
                 fallback_region=2**31,
             )
+
+
+class TestAttributedSource:
+    def test_bare_csv_and_log_convert_and_materialize(self, tmp_path):
+        # The pipeline's one way to attribute a bare capture: wrap its
+        # source and the allocation log's table in AttributedSource.
+        heap = HeapAllocator()
+        graph = heap.pool_malloc(1 << 14, heap.pool_create(), callpoint=11)
+        index = heap.pool_malloc(1 << 12, heap.pool_create(), callpoint=22)
+        log = tmp_path / "allocs.jsonl"
+        AttributionTable.from_heap(heap, {11: "graph", 22: "index"}).to_log(log)
+        rng = np.random.default_rng(5)
+        addrs = np.concatenate(
+            [
+                graph.base + rng.integers(0, graph.size, 300),
+                index.base + rng.integers(0, index.size, 200),
+                rng.integers(1 << 40, (1 << 40) + 4096, 100),  # unlogged
+            ]
+        )
+        rng.shuffle(addrs)
+        capture = tmp_path / "bare.csv"
+        write_trace_file(capture, ArraySource(addrs=addrs), "csv")
+        table = AttributionTable.from_log(log)
+        want = table.attribute(addrs)
+        assert set(want.tolist()) == {11, 22, table.fallback_region}
+
+        def attributed():
+            return AttributedSource(open_trace_source(capture), table)
+
+        got = materialize(attributed(), apki=10.0, max_records=64)
+        assert np.array_equal(got.lines, addrs // 64)
+        assert np.array_equal(got.regions, want)
+        assert got.region_names == table.region_names
+        archive = tmp_path / "t.rtrace"
+        convert_to_rtrace(attributed(), archive, apki=10.0, max_records=64)
+        stored = materialize(RTraceSource(archive))
+        assert np.array_equal(stored.lines, addrs // 64)
+        assert np.array_equal(stored.regions, want)
+        assert stored.region_names == table.region_names

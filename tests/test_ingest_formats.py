@@ -53,6 +53,19 @@ def assert_same_curves(got, want):
             assert cg.instructions == cw.instructions
 
 
+class ExplodingSource:
+    """A sized source whose capture breaks after its first chunk."""
+
+    n_records = 100
+    line_bytes = 64
+    instructions = 1000.0
+    region_names: dict = {}
+
+    def chunks(self, max_records=1 << 21):
+        yield next(ArraySource.from_trace(make_trace(n=50)).chunks())
+        raise RuntimeError("capture truncated mid-stream")
+
+
 class TestGoldenLackey:
     """Pinned parse of a real-shaped Lackey capture."""
 
@@ -220,9 +233,8 @@ class TestMalformedInputs:
     def test_csv_mixed_rows_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("addr,region\n100,1\n200\n")
-        source = open_trace_source(path)
         with pytest.raises(ValueError, match="region"):
-            list(source.chunks())
+            list(open_trace_source(path).chunks())
 
     def test_jsonl_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -234,23 +246,20 @@ class TestMalformedInputs:
         # int(1.9) would silently alias distinct addresses.
         path = tmp_path / "t.jsonl"
         path.write_text('{"addr": 1.9}\n')
-        source = open_trace_source(path)
         with pytest.raises(ValueError, match="JSON integer"):
-            list(source.chunks())
+            list(open_trace_source(path).chunks())
 
     def test_jsonl_float_region_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"addr": 64, "region": 1.5}\n')
-        source = open_trace_source(path)
         with pytest.raises(ValueError, match="JSON integer"):
-            list(source.chunks())
+            list(open_trace_source(path).chunks())
 
     def test_csv_float_address_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("addr\n1.9\n")
-        source = open_trace_source(path)
         with pytest.raises(ValueError):
-            list(source.chunks())
+            list(open_trace_source(path).chunks())
 
     def test_rtrace_unsupported_version_rejected(self, tmp_path):
         import json
@@ -278,17 +287,15 @@ class TestMalformedInputs:
     def test_negative_address_rejected_at_chunk_boundary(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("addr\n100\n-5\n")
-        source = open_trace_source(path)
         with pytest.raises(ValueError, match="negative"):
-            list(source.chunks())
+            list(open_trace_source(path).chunks())
 
     def test_negative_region_rejected_at_ingest(self, tmp_path):
         # Fail here, not at the first simulation of a registered archive.
         path = tmp_path / "t.csv"
         path.write_text("addr,region\n4096,-1\n")
-        source = open_trace_source(path)
         with pytest.raises(ValueError, match="negative region"):
-            list(source.chunks())
+            list(open_trace_source(path).chunks())
 
     def test_rtrace_header_missing_keys_rejected(self, tmp_path):
         import json
@@ -316,21 +323,19 @@ class TestMaterializeAndFailurePaths:
             materialize(source)
 
     def test_convert_failure_unlinks_partial_archive(self, tmp_path):
-        class ExplodingSource:
-            n_records = 100
-            line_bytes = 64
-            instructions = 1000.0
-            region_names: dict = {}
-
-            def chunks(self, max_records=1 << 21):
-                yield ArraySource.from_trace(make_trace(n=50)).chunks().__next__()
-                raise RuntimeError("capture truncated mid-stream")
-
         dst = tmp_path / "t.rtrace"
         with pytest.raises(RuntimeError, match="truncated"):
             convert_to_rtrace(ExplodingSource(), dst)
         # A partial archive must not survive to be mistaken for a
         # complete one (it would carry a half-stream fingerprint).
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("fmt", ["lackey", "mtrace", "csv", "jsonl"])
+    def test_failed_export_leaves_no_file(self, tmp_path, fmt):
+        # A truncated export reads as a whole, shorter trace.
+        dst = tmp_path / f"t.{fmt}"
+        with pytest.raises(RuntimeError, match="truncated"):
+            write_trace_file(dst, ExplodingSource(), fmt, max_records=20)
         assert not dst.exists()
 
     def test_stored_compression_same_fingerprint_and_trace(self, tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.ingest import ArraySource, convert_to_rtrace
+from repro.ingest import ArraySource, RTraceSource, convert_to_rtrace
+from repro.store import ArtifactStore, publish_trace
 from repro.workloads import build_workload, ingested_apps, register_trace
-from repro.workloads.registry import TRACE_DIR_ENV, _REGISTERED_TRACES
+from repro.workloads.registry import _REGISTERED_TRACES
 from repro.workloads.trace import Trace
 
 
@@ -40,12 +41,6 @@ class TestRegistry:
         assert workload.trace.region_names == trace.region_names
         assert "ext" in ingested_apps()
 
-    def test_trace_dir_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        make_rtrace(tmp_path / "envapp.rtrace")
-        assert "envapp" in ingested_apps()
-        assert build_workload("envapp").name == "envapp"
-
     def test_builtin_name_collision_rejected(self, tmp_path):
         path = tmp_path / "bzip2.rtrace"
         make_rtrace(path)
@@ -70,6 +65,15 @@ class TestRegistry:
         a = build_workload("ext", scale="train", seed=1)
         b = build_workload("ext", scale="ref", seed=2)
         assert np.array_equal(a.trace.lines, b.trace.lines)
+
+
+def stored_archive(name):
+    """The store's archive bound to ``name``, or None."""
+    store = ArtifactStore()
+    binding = store.resolve_name(name)
+    if binding is None:
+        return None
+    return store.get("traces", binding["fingerprint"])
 
 
 class TestIngestCLI:
@@ -115,29 +119,24 @@ class TestIngestCLI:
         assert main(["ingest", "validate", str(dst)]) == 1
         assert "fingerprint" in capsys.readouterr().err
 
-    def test_register_and_run_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "traces"))
+    def test_register_and_run_resolution(self, tmp_path, store_env):
         src = tmp_path / "t.csv"
         self.export_csv(src)
         assert main(
             ["ingest", "register", str(src), "--name", "cliapp", "--apki", "8"]
         ) == 0
-        assert (tmp_path / "traces" / "cliapp.rtrace").exists()
+        assert stored_archive("cliapp") is not None
         assert build_workload("cliapp").name == "cliapp"
 
-    def test_register_without_instructions_fails(self, tmp_path, capsys):
-        monkeypatch_dir = tmp_path / "traces"
+    def test_register_without_instructions_fails(
+        self, tmp_path, store_env, capsys
+    ):
         src = tmp_path / "t.csv"
         self.export_csv(src)
-        rc = main(
-            [
-                "ingest", "register", str(src),
-                "--trace-dir", str(monkeypatch_dir),
-            ]
-        )
+        rc = main(["ingest", "register", str(src)])
         assert rc == 2
         assert "instruction count" in capsys.readouterr().err
-        assert not (monkeypatch_dir / "t.rtrace").exists()
+        assert stored_archive("t") is None
 
     def test_convert_without_destination_fails(self, tmp_path, capsys):
         src = tmp_path / "t.csv"
@@ -147,20 +146,21 @@ class TestIngestCLI:
     def test_missing_input_fails_cleanly(self, tmp_path):
         assert main(["ingest", "inspect", str(tmp_path / "nope.csv")]) == 2
 
-    def test_register_builtin_name_refused(self, tmp_path, capsys):
+    def test_register_builtin_name_refused(self, tmp_path, store_env, capsys):
         # A trace named after a built-in would be shadowed by the
         # registry's builder-first resolution — refuse up front.
         src = tmp_path / "t.csv"
         self.export_csv(src)
         rc = main(
-            ["ingest", "register", str(src), "--name", "mcf",
-             "--apki", "8", "--trace-dir", str(tmp_path / "traces")]
+            ["ingest", "register", str(src), "--name", "mcf", "--apki", "8"]
         )
         assert rc == 2
         assert "built-in" in capsys.readouterr().err
-        assert not (tmp_path / "traces" / "mcf.rtrace").exists()
+        assert stored_archive("mcf") is None
 
-    def test_register_rtrace_honours_apki_override(self, tmp_path, capsys):
+    def test_register_rtrace_honours_apki_override(
+        self, tmp_path, store_env, capsys
+    ):
         # Regression: the fast copy path used to ignore --apki, making
         # the "re-run with --instructions or --apki" advice a dead end.
         src = tmp_path / "t.csv"
@@ -168,45 +168,95 @@ class TestIngestCLI:
         bare = tmp_path / "bare.rtrace"
         assert main(["ingest", "convert", str(src), str(bare)]) == 0
         rc = main(
-            ["ingest", "register", str(bare), "--name", "fixed",
-             "--apki", "8", "--trace-dir", str(tmp_path / "traces")]
+            ["ingest", "register", str(bare), "--name", "fixed", "--apki", "8"]
         )
         assert rc == 0
-        from repro.ingest import RTraceSource
-
-        registered = RTraceSource(tmp_path / "traces" / "fixed.rtrace")
+        registered = RTraceSource(stored_archive("fixed"))
         assert registered.instructions == registered.n_records * 1000.0 / 8
 
     def test_failed_reregistration_keeps_existing_archive(
-        self, tmp_path, capsys
+        self, tmp_path, store_env, capsys
     ):
         # Regression: register used to overwrite the destination before
         # its instruction-count check, so a failed re-registration
         # destroyed a working archive.
-        traces = tmp_path / "traces"
         src = tmp_path / "t.csv"
         self.export_csv(src)
         assert main(
             ["ingest", "register", str(src), "--name", "keeper",
-             "--apki", "8", "--trace-dir", str(traces)]
+             "--apki", "8"]
         ) == 0
-        good = (traces / "keeper.rtrace").read_bytes()
+        binding = ArtifactStore().resolve_name("keeper")
+        good = stored_archive("keeper").read_bytes()
         rc = main(
-            ["ingest", "register", str(src), "--name", "keeper",
-             "--trace-dir", str(traces)]  # no instruction count
-        )
+            ["ingest", "register", str(src), "--name", "keeper"]
+        )  # no instruction count
         assert rc == 2
-        assert (traces / "keeper.rtrace").read_bytes() == good
-        assert not list(traces.glob(".*tmp*"))
+        assert ArtifactStore().resolve_name("keeper") == binding
+        assert stored_archive("keeper").read_bytes() == good
+        assert not list((store_env / "tmp").iterdir())
 
-    def test_staging_leftovers_never_listed(self, tmp_path, monkeypatch):
+    def test_staging_leftovers_never_listed(self, tmp_path, store_env):
         # A crash-leftover staging temp (or any dotfile) must not
         # surface as a phantom workload.
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
         make_rtrace(tmp_path / "real.rtrace", n=100)
-        (tmp_path / ".ghost.123.rtrace-tmp").write_bytes(b"partial")
-        (tmp_path / ".hidden.rtrace").write_bytes(b"partial")
+        publish_trace(ArtifactStore(), tmp_path / "real.rtrace", name="real")
+        (store_env / "tmp").mkdir()
+        (store_env / "tmp" / ".ghost.123.rtrace-tmp").write_bytes(b"partial")
+        (store_env / "names" / ".hidden.json").write_text("{}")
         assert ingested_apps() == ["real"]
+
+    @pytest.mark.parametrize("fmt", ["rtrace", "csv"])
+    @pytest.mark.parametrize(
+        "name", ["../x", "<abs>", "a/b", "a\\b", ".x", ""]
+    )
+    def test_register_rejects_names_outside_the_index(
+        self, tmp_path, store_env, capsys, name, fmt
+    ):
+        # Bound, these wrote <store>/x.json, a file outside the store, a
+        # nested directory, or a binding no listing shows.
+        if name == "<abs>":
+            name = str(tmp_path / "abs" / "x")
+        src = tmp_path / f"in.{fmt}"
+        if fmt == "rtrace":
+            make_rtrace(src)  # published as is
+            flags = []
+        else:
+            self.export_csv(src)  # converted in <store>/tmp/ first
+            flags = ["--apki", "8"]
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["ingest", "register", str(src), "--name", name, *flags])
+        assert rc == 2
+        assert "invalid workload name" in capsys.readouterr().err
+        store = ArtifactStore()
+        for call in (
+            lambda: store.bind_name(name, "traces", "ab" * 16),
+            lambda: store.resolve_name(name),
+            lambda: register_trace(name, src),
+            lambda: publish_trace(store, src, name=name),
+        ):
+            with pytest.raises(ValueError, match="invalid workload name"):
+                call()
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+    def test_convert_malformed_capture_fails_before_writing(
+        self, tmp_path, capsys
+    ):
+        # The sized reader parses the whole capture when it opens, so
+        # the error names the capture's line, whatever the chunk size.
+        src = tmp_path / "t.jsonl"
+        src.write_text(
+            '{"addr": 64}\n{"addr": 128}\n{"addr": 192}\n{"addr": 1.5}\n'
+        )
+        dst = tmp_path / "out.csv"
+        rc = main(
+            ["ingest", "convert", str(src), str(dst), "--chunk-records", "2"]
+        )
+        assert rc == 2
+        assert f"{src}:4: 'addr' must be a JSON integer" in (
+            capsys.readouterr().err
+        )
+        assert not dst.exists()
 
     def test_convert_alloc_log_to_regionless_format_refused(
         self, tmp_path, capsys
@@ -248,14 +298,14 @@ class TestIngestCLI:
 
 
 class TestIngestedCampaign:
-    def test_campaign_grid_over_ingested_trace(self, tmp_path, monkeypatch):
-        # The PR-1 campaign engine resolves apps through build_workload,
-        # so a trace dir in the environment makes external traces
-        # sweepable like any built-in benchmark.
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "artifacts"))
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "traces"))
-        (tmp_path / "traces").mkdir()
-        make_rtrace(tmp_path / "traces" / "extcamp.rtrace", n=1500)
+    def test_campaign_grid_over_ingested_trace(self, tmp_path, store_env):
+        # The campaign engine resolves apps through build_workload, so a
+        # trace bound in the store is sweepable like any built-in
+        # benchmark, in every worker.
+        make_rtrace(tmp_path / "extcamp.rtrace", n=1500)
+        publish_trace(
+            ArtifactStore(), tmp_path / "extcamp.rtrace", name="extcamp"
+        )
 
         from repro.exp import Campaign, ResultStore, run_campaign
 

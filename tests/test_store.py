@@ -358,14 +358,8 @@ class TestStoreCLI:
         self, store, tmp_path, monkeypatch, capsys
     ):
         from repro.cli import main
-        from repro.workloads.registry import TRACE_DIR_ENV
 
-        # A legacy trace dir with one archive, a fixture pile with one
-        # entry: compact pulls both into the store.
-        traces = tmp_path / "traces"
-        traces.mkdir()
-        make_rtrace(traces / "legacyapp.rtrace", apki=8.0)
-        monkeypatch.setenv(TRACE_DIR_ENV, str(traces))
+        # A fixture pile with one entry: compact pulls it into the store.
         legacy_cache = tmp_path / "cache"
         legacy_cache.mkdir()
         from repro.sim import profiling
@@ -380,7 +374,6 @@ class TestStoreCLI:
         assert store.status()["kinds"]["profiles"]["artifacts"] == 0
         assert main(["store", "compact"]) == 0
         assert store.status()["kinds"]["profiles"]["artifacts"] == 1
-        assert store.resolve_name("legacyapp") is not None
         # Imported payloads come out mappable.
         assert npz_arrays(store.path("profiles", "cd" * 16)) is not None
         assert main(["store", "compact"]) == 0  # idempotent
@@ -395,12 +388,9 @@ class TestRegistryStoreResolution:
         yield
         _REGISTERED_TRACES.clear()
 
-    def test_store_named_trace_is_a_workload(
-        self, store, tmp_path, monkeypatch
-    ):
+    def test_store_named_trace_is_a_workload(self, store, tmp_path):
         from repro.workloads import build_workload, ingested_apps
 
-        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
         trace, __ = make_rtrace(tmp_path / "t.rtrace", apki=8.0)
         publish_trace(store, tmp_path / "t.rtrace", name="storeapp")
         assert "storeapp" in ingested_apps()
@@ -411,32 +401,10 @@ class TestRegistryStoreResolution:
         # Stored archives materialize as zero-copy mapped views.
         assert not workload.trace.lines.flags.writeable
 
-    def test_trace_dir_still_wins_over_store(
-        self, store, tmp_path, monkeypatch
-    ):
-        from repro.workloads import build_workload
-        from repro.workloads.registry import TRACE_DIR_ENV
-
-        dir_trace, __ = make_rtrace(
-            tmp_path / "dup.rtrace", n=300, seed=5, apki=8.0
-        )
-        publish_trace(store, tmp_path / "dup.rtrace", name="dup")
-        other = tmp_path / "dir"
-        other.mkdir()
-        env_trace, __ = make_rtrace(
-            other / "dup.rtrace", n=200, seed=9, apki=8.0
-        )
-        monkeypatch.setenv(TRACE_DIR_ENV, str(other))
-        workload = build_workload("dup")
-        assert len(workload.trace) == 200  # the env dir's capture
-
-    def test_ingest_register_without_trace_dir_uses_store(
-        self, store, tmp_path, monkeypatch, capsys
-    ):
+    def test_ingest_register_rtrace_uses_store(self, store, tmp_path, capsys):
         from repro.cli import main
         from repro.workloads import build_workload
 
-        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
         make_rtrace(tmp_path / "in.rtrace", apki=8.0)
         rc = main(
             ["ingest", "register", str(tmp_path / "in.rtrace"),
@@ -451,14 +419,13 @@ class TestRegistryStoreResolution:
         ).exists() else True
 
     def test_ingest_register_conversion_path_to_store(
-        self, store, tmp_path, monkeypatch, capsys
+        self, store, tmp_path, capsys
     ):
         from repro.cli import main
         from repro.ingest import ArraySource, write_trace_file
         from repro.workloads import build_workload
         from repro.workloads.trace import Trace
 
-        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
         rng = np.random.default_rng(2)
         trace = Trace(
             lines=rng.integers(0, 64, 400),

@@ -13,6 +13,7 @@ under ``tests/oracles/``.
 
 import io
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,7 +487,39 @@ def write_csv(path, n=900, n_regions=3, seed=0):
             f.write(f"{addr},{region}\n")
 
 
-#: Small text captures whose header or region columns are irregular.
+def assert_read_alike(path):
+    """A sized and a followed read give the same records or error text."""
+    from repro.ingest import open_trace_source
+
+    fmt = path.suffix[1:]
+
+    def records(source, chunk_records):
+        chunks = list(source.chunks(chunk_records))
+        addrs = np.concatenate([c.addrs for c in chunks])
+        regions = [c.regions for c in chunks]
+        if any(r is None for r in regions):
+            assert all(r is None for r in regions)
+            return addrs.tolist(), None
+        return addrs.tolist(), np.concatenate(regions).tolist()
+
+    def outcome(open_source, chunk_records):
+        try:
+            return records(open_source(), chunk_records)
+        except ValueError as exc:
+            return "raises", str(exc)
+
+    sized = outcome(lambda: open_trace_source(str(path), fmt=fmt), 2)
+    streamed = outcome(
+        lambda: open_stream_source(
+            str(path), fmt=fmt, idle_timeout=0.0, batch_records=1
+        ),
+        64,
+    )
+    assert streamed == sized
+
+
+#: Small text captures with irregular headers, region columns, records
+#: or noise lines.
 TEXT_CAPTURES = {
     "attributed_then_bare.csv": "0x40,1\n0x80\n",
     "bare_then_attributed.csv": "0x40\n0x80,1\n",
@@ -494,6 +527,20 @@ TEXT_CAPTURES = {
     "later_header.csv": "0x40,1\naddr,region\n",
     "attributed_then_bare.jsonl": '{"addr": 64, "region": 1}\n{"addr": 128}\n',
     "null_region.jsonl": '{"addr": 64, "region": null}\n',
+    # Line 4 is the second record of the second 2-record chunk.
+    "float_addr_line4.jsonl": (
+        '{"addr": 64}\n{"addr": 128}\n{"addr": 192}\n{"addr": 1.5}\n'
+    ),
+    "banners.lackey": (
+        "==12== Lackey, an example Valgrind tool\n==12== \n"
+        " L 04eba0c8,8\n S 0425d410,4\n==12== done\n"
+    ),
+    "instructions_between.lackey": (
+        "I  04000000,3\n L 00001000,8\nI  04000003,2\n"
+        " M 00002000,4\nI  04000005,1\n S 00003000,8\n"
+    ),
+    "malformed_addr.lackey": " L 00001000,8\n\n L nothex,8\n",
+    "unknown_op.lackey": " L 00001000,8\n X 00002000,8\n S 00003000,8\n",
 }
 
 
@@ -548,35 +595,34 @@ class TestWatch:
 
     @pytest.mark.parametrize("name", list(TEXT_CAPTURES))
     def test_stream_source_reads_text_like_sized_reader(self, tmp_path, name):
-        # Either both readers raise or both give the same records.
-        from repro.ingest import open_trace_source
-
         path = tmp_path / name
         path.write_text(TEXT_CAPTURES[name])
-        fmt = path.suffix[1:]
+        assert_read_alike(path)
 
-        def records(source):
-            chunks = list(source.chunks(64))
-            addrs = np.concatenate([c.addrs for c in chunks])
-            regions = [c.regions for c in chunks]
-            if any(r is None for r in regions):
-                assert all(r is None for r in regions)
-                return addrs.tolist(), None
-            return addrs.tolist(), np.concatenate(regions).tolist()
+    @pytest.mark.parametrize(
+        "name", ["tiny.lackey", "t.lackey", "t.csv", "bare.csv", "t.jsonl"]
+    )
+    def test_stream_source_reads_files_like_sized_reader(self, tmp_path, name):
+        # The golden Lackey capture and exports of a built trace.
+        from repro.ingest import write_trace_file
 
-        def outcome(open_source):
-            try:
-                return records(open_source())
-            except ValueError:
-                return "raises"
+        if name == "tiny.lackey":
+            path = Path(__file__).parent / "data" / name
+        else:
+            path = tmp_path / name
+            source = make_source(4)
+            if name == "bare.csv":
+                source = ArraySource(addrs=next(source.chunks()).addrs)
+            write_trace_file(path, source)
+        assert_read_alike(path)
 
-        sized = outcome(lambda: open_trace_source(str(path), fmt=fmt))
-        streamed = outcome(
-            lambda: open_stream_source(
-                str(path), fmt=fmt, idle_timeout=0.0, batch_records=1
-            )
+    def test_stdin_errors_name_their_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO('{"addr": 64}\n\n{"addr": -1}\n')
         )
-        assert streamed == sized
+        code = main(["ingest", "validate", "-", "--format", "jsonl"])
+        assert code == 2
+        assert "<stdin>:3: negative address -1" in capsys.readouterr().err
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="followable"):
