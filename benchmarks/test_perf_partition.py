@@ -11,7 +11,12 @@ third pair gates the rest of Jigsaw's decide path on the 16-core chip:
 the array reach curve must stay >= 10x faster than per-size
 ``reach_fn`` calls, and the list-based trading search >= 1.5x faster
 than the numpy-scalar oracle in
-``tests/oracles/placement.py``.  Timings are also written as JSON
+``tests/oracles/placement.py``.  A fourth pair gates what a single-app
+Jigsaw or S-NUCA job sends: the hull scan of latency prefixes cut at
+their first minimum must stay >= 1.6x faster than the oracle scan
+(3.2-3.9x measured on a 2-vCPU host), and one VC's 48-interval flow
+heads >= 50x faster than the per-interval scalar flow loop (220-250x
+measured).  Timings are also written as JSON
 (``benchmarks/perf_partition_timings.json``, gitignored) so CI can
 upload them as an artifact; wall-clock numbers stay out of
 ``benchmarks/results/``.
@@ -21,10 +26,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles.combine import shared_cache_misses_reference
 from oracles.partition import _lower_convex_hull, partition_cost_curves_reference
 from oracles.placement import trading_placement_reference
 
-from repro.curves.miss_curve import _lower_convex_hull_fast
+from repro.curves import MissCurve
+from repro.curves.combine import advance_flow_heads
+from repro.curves.miss_curve import _first_minimum, _lower_convex_hull_fast, interp_rows
 from repro.curves.partition import partition_cost_curves
 from repro.nuca import sixteen_core_config
 from repro.obs.timings import record_timings
@@ -144,8 +152,8 @@ class TestPerfPartition:
         """Headline instance: 64 consumers x 4096 chunks, >= 5x required.
 
         Full contention (every chunk is in play) so the merge ranks all
-        ~260k marginal-gain segments; measured speedup is ~10x on a
-        dedicated core, asserted at the 5x acceptance floor so slow CI
+        ~260k marginal-gain segments; measured speedup is 6-9x on a
+        2-vCPU host, asserted at the 5x acceptance floor so slow CI
         boxes don't flake.
         """
         curves = _instance()
@@ -176,6 +184,73 @@ class TestPerfPartition:
             f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
         )
         assert speedup >= 5.0, f"hull speedup regressed to {speedup:.1f}x"
+
+    def test_perf_latency_prefix_hull_speedup(self):
+        """48 rising-tailed latency curves cut at each first minimum, >= 1.6x.
+
+        What ``partition_cost_curves`` hulls in Jigsaw's decide: short,
+        step-shaped prefixes where most consecutive triples pop.
+        """
+        prefixes = [c[: _first_minimum(c) + 1] for c in _real_instance(rising=True)]
+        t_fast, got = _best_of(
+            lambda: [_lower_convex_hull_fast(p) for p in prefixes], repeats=5
+        )
+        t_ref, want = _best_of(
+            lambda: [_lower_convex_hull(p) for p in prefixes], repeats=5
+        )
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        speedup = t_ref / t_fast
+        _record_timings("hull_latency_prefix_48", t_fast, t_ref, gate="speedup >= 1.6x")
+        print(
+            f"\n[perf] hull 48 latency prefixes: fast {t_fast*1e3:.1f} ms, "
+            f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
+        )
+        assert speedup >= 1.6, f"hull speedup regressed to {speedup:.1f}x"
+
+    def test_perf_lone_stream_flow_heads_speedup(self):
+        """One VC's 48 interval rate rows sharing a 200-chunk LLC, >= 50x.
+
+        S-NUCA's accounting of a single-VC job: every lane has one
+        stream, so ``advance_flow_heads`` lands each head in closed form
+        instead of stepping 200 times.
+        """
+        rng = np.random.default_rng(19)
+        width, steps, chunk = 401, 200, 1024
+        curves = []
+        for __ in range(48):
+            floor = rng.uniform(0.001, 0.01)
+            decay = np.exp(-np.arange(width) / rng.uniform(5.0, 120.0))
+            curves.append(
+                MissCurve(
+                    misses=(floor + rng.uniform(0.005, 0.02) * decay) * 1e6,
+                    chunk_bytes=chunk,
+                    accesses=5e4,
+                    instructions=1e6,
+                )
+            )
+        rates = np.stack([c.misses / c.instructions for c in curves])
+        instr = np.array([c.instructions for c in curves])
+        included = np.ones((1, len(curves)), dtype=bool)
+
+        def batched():
+            heads = advance_flow_heads(rates, included, steps)
+            return (interp_rows(rates, heads) * instr).tolist()
+
+        t_fast, got = _best_of(batched, repeats=5)
+        t_ref, want = _best_of(
+            lambda: [
+                shared_cache_misses_reference([c], steps * chunk)[0] for c in curves
+            ],
+            repeats=3,
+        )
+        assert got == want
+        speedup = t_ref / t_fast
+        _record_timings("flow_heads_lone_48x401", t_fast, t_ref, gate="speedup >= 50.0x")
+        print(
+            f"\n[perf] flow heads 48 lone lanes x 200 steps: batched {t_fast*1e3:.2f} ms, "
+            f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
+        )
+        assert speedup >= 50.0, f"flow heads speedup regressed to {speedup:.1f}x"
 
     def test_perf_real_shape_partition_speedup(self):
         """48 rising-tailed 16-core latency curves sharing the whole LLC."""

@@ -27,28 +27,27 @@ def main() -> None:
     jobs = campaign.jobs()
     print(f"{campaign.name}: {len(jobs)} jobs, e.g. {jobs[0].app}/{jobs[0].scheme}")
 
-    workdir = Path(tempfile.mkdtemp(prefix="repro-campaign-"))
-    store_path = workdir / "results.jsonl"
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
+        store_path = Path(tmp) / "results.jsonl"
 
-    # 1. Run the whole grid on 4 worker processes.  Workers share the
-    #    on-disk profile cache, so the three schemes of one app pay for
-    #    its profiling once.
-    report = run_campaign(campaign, store_path, workers=4)
-    print(f"first run : {report.executed} executed, {report.skipped} skipped")
+        # 1. Run the whole grid on 4 worker processes.  Workers share the
+        #    on-disk profile cache, so the three schemes of one app pay for
+        #    its profiling once.
+        report = run_campaign(campaign, store_path, workers=4)
+        print(f"first run : {report.executed} executed, {report.skipped} skipped")
 
-    # 2. Simulate a mid-run interrupt: keep only the first 4 records.
-    lines = store_path.read_text().splitlines()
-    store_path.write_text("\n".join(lines[:4]) + "\n")
-    status = campaign_status(campaign, store_path)
-    print(f"interrupted: {status['done']}/{status['total']} done")
+        # 2. Simulate a mid-run interrupt: keep only the first 4 records.
+        lines = store_path.read_text().splitlines()
+        store_path.write_text("\n".join(lines[:4]) + "\n")
+        status = campaign_status(campaign, store_path)
+        print(f"interrupted: {status['done']}/{status['total']} done")
 
-    # 3. Resubmitting is the resume: the store skips finished jobs.
-    report = run_campaign(campaign, store_path, workers=4)
-    print(f"resume     : {report.executed} executed, {report.skipped} skipped")
+        # 3. Resubmitting is the resume: the store skips finished jobs.
+        report = run_campaign(campaign, store_path, workers=4)
+        print(f"resume     : {report.executed} executed, {report.skipped} skipped")
 
-    # 4. Export the result table straight from the store.
-    print("\n" + ResultStore(store_path).export_table(metric="cycles"))
-    print(f"store: {store_path}")
+        # 4. Export the result table straight from the store.
+        print("\n" + ResultStore(store_path).export_table(metric="cycles"))
 
 
 if __name__ == "__main__":

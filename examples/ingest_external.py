@@ -62,52 +62,53 @@ def capture_fake_application(workdir: Path) -> tuple[Path, Path]:
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-ingest-"))
-    trace_path, log_path = capture_fake_application(workdir)
-    print(f"captured: {trace_path.name} "
-          f"({trace_path.stat().st_size >> 20} MiB), {log_path.name}")
+    with tempfile.TemporaryDirectory(prefix="repro-ingest-") as tmp:
+        workdir = Path(tmp)
+        trace_path, log_path = capture_fake_application(workdir)
+        print(f"captured: {trace_path.name} "
+              f"({trace_path.stat().st_size >> 20} MiB), {log_path.name}")
 
-    # 1+2. Attribute and convert (equivalent CLI:
-    #   python -m repro ingest convert capture.mtrace app.rtrace \
-    #       --alloc-log allocs.jsonl --apki 12)
-    source = AttributedSource(
-        open_trace_source(trace_path), AttributionTable.from_log(log_path)
-    )
-    archive = workdir / "extapp.rtrace"
-    header = convert_to_rtrace(source, archive, apki=12.0)
-    print(f"converted: {header['n_records']} records, "
-          f"regions {sorted(header['region_names'].values())}, "
-          f"fingerprint {header['fingerprint']}")
+        # 1+2. Attribute and convert (equivalent CLI:
+        #   python -m repro ingest convert capture.mtrace app.rtrace \
+        #       --alloc-log allocs.jsonl --apki 12)
+        source = AttributedSource(
+            open_trace_source(trace_path), AttributionTable.from_log(log_path)
+        )
+        archive = workdir / "extapp.rtrace"
+        header = convert_to_rtrace(source, archive, apki=12.0)
+        print(f"converted: {header['n_records']} records, "
+              f"regions {sorted(header['region_names'].values())}, "
+              f"fingerprint {header['fingerprint']}")
 
-    # 3. Register: a name bound in the artifact store resolves
-    #    everywhere (equivalent CLI:
-    #    python -m repro ingest register extapp.rtrace --name extapp).
-    from repro.store import ArtifactStore, publish_trace
-    from repro.workloads import build_workload
+        # 3. Register: a name bound in the artifact store resolves
+        #    everywhere (equivalent CLI:
+        #    python -m repro ingest register extapp.rtrace --name extapp).
+        from repro.store import ArtifactStore, publish_trace
+        from repro.workloads import build_workload
 
-    __, stored = publish_trace(ArtifactStore(), archive, name="extapp")
-    workload = build_workload("extapp")
-    print(f"registered workload: {workload.name}, "
-          f"{len(workload.trace)} accesses, apki {workload.trace.apki:.1f}")
+        __, stored = publish_trace(ArtifactStore(), archive, name="extapp")
+        workload = build_workload("extapp")
+        print(f"registered workload: {workload.name}, "
+              f"{len(workload.trace)} accesses, apki {workload.trace.apki:.1f}")
 
-    # 4. Out-of-core profiling, bit-identical to in-memory.
-    rtrace = RTraceSource(stored)
-    streaming = StreamingStackProfiler(chunk_bytes=64 * 1024, n_chunks=64)
-    got = streaming.profile_source(rtrace, n_intervals=4,
-                                   chunk_records=1 << 16)
-    mem = StackDistanceProfiler(chunk_bytes=64 * 1024, n_chunks=64)
-    want = mem.profile(workload.trace.lines, workload.trace.regions,
-                       workload.trace.instructions, n_intervals=4)
-    exact = all(
-        np.array_equal(cg.misses, cw.misses)
-        for rid in want
-        for cg, cw in zip(got[rid], want[rid])
-    )
-    print(f"streaming vs in-memory curves bit-identical: {exact}")
-    for rid, curves in sorted(got.items()):
-        name = rtrace.region_names.get(rid, str(rid))
-        print(f"  region {name:>6}: apki {curves[0].apki:.2f}, "
-              f"{len(curves)} interval curves")
+        # 4. Out-of-core profiling, bit-identical to in-memory.
+        rtrace = RTraceSource(stored)
+        streaming = StreamingStackProfiler(chunk_bytes=64 * 1024, n_chunks=64)
+        got = streaming.profile_source(rtrace, n_intervals=4,
+                                       chunk_records=1 << 16)
+        mem = StackDistanceProfiler(chunk_bytes=64 * 1024, n_chunks=64)
+        want = mem.profile(workload.trace.lines, workload.trace.regions,
+                           workload.trace.instructions, n_intervals=4)
+        exact = all(
+            np.array_equal(cg.misses, cw.misses)
+            for rid in want
+            for cg, cw in zip(got[rid], want[rid])
+        )
+        print(f"streaming vs in-memory curves bit-identical: {exact}")
+        for rid, curves in sorted(got.items()):
+            name = rtrace.region_names.get(rid, str(rid))
+            print(f"  region {name:>6}: apki {curves[0].apki:.2f}, "
+                  f"{len(curves)} interval curves")
 
 
 if __name__ == "__main__":

@@ -540,9 +540,14 @@ def _ingest_validate(args: argparse.Namespace, ingest) -> int:
             return 1
         print(f"OK {args.path}: {source.n_records} records")
         return 0
-    n = 0
-    for chunk in source.chunks(args.chunk_records):
-        n += len(chunk)  # TraceChunk rejects negative addrs/regions
+    if hasattr(source, "line_parser"):
+        # Opening a sized text capture already parsed and batched every
+        # line to count its records: a second pass could find nothing new.
+        n = source.n_records
+    else:
+        n = 0
+        for chunk in source.chunks(args.chunk_records):
+            n += len(chunk)  # TraceChunk rejects negative addrs/regions
     if source.n_records is None:
         # Unbounded sources have no declared count to cross-check; the
         # pass above still validated every record it could read.

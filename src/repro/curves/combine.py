@@ -20,8 +20,9 @@ batched engine and the curve-level calls built on it:
   array ops per step; a narrow batch, where numpy's fixed cost per array
   call would dominate, runs lane by lane in Python floats.
 - :func:`advance_flow_heads` — the K-way head-advance kernel shared with
-  S-NUCA's shared-cache accounting: all ``K × B`` read heads move as one
-  array per capacity step, with an all-flows-zero early exit.
+  S-NUCA's shared-cache accounting: a lane with one stream lands in
+  closed form, and the read heads of every other lane move as one array
+  per capacity step, with an all-flows-zero early exit.
 - :func:`combine_miss_curves` / :func:`shared_cache_misses` — the
   :class:`MissCurve`-level calls: one lane of the first kernel, and one
   batch lane of the second.
@@ -178,10 +179,17 @@ def advance_flow_heads(
 ) -> np.ndarray:
     """Advance ``K × B`` shared-cache read heads for ``steps`` chunks.
 
-    The K-way generalization of Listing 1's inner loop, vectorized so
-    every read head of a whole batch moves in one gather per capacity
-    step.  Used by :func:`shared_cache_misses` (``B = 1``) and by
-    S-NUCA's interval-batched accounting (``B`` = intervals).
+    The K-way generalization of Listing 1's inner loop.  Used by
+    :func:`shared_cache_misses` (``B = 1``) and by S-NUCA's
+    interval-batched accounting (``B`` = intervals).
+
+    A lane with one included stream has a closed form.  Its total flow
+    is ``0.0 + f``, so while ``f > 0`` its head moves by ``f / f == 1.0``
+    exactly: at step ``k`` it sits at ``k`` and reads ``rates[min(k, n)]``.
+    Its final head is the first ``k < steps`` whose read is not positive,
+    or ``steps``: one array operation for every such lane of the batch.
+    Lanes with two or more included streams run the step loop, which
+    moves all of their heads in one gather per capacity step.
 
     Args:
         rates_flat: ``(K * B, n + 1)`` rate rows, stream-major (stream
@@ -192,8 +200,9 @@ def advance_flow_heads(
         steps: capacity chunks to hand out.
 
     Returns:
-        ``(K * B,)`` final head positions.  Lanes whose total flow hits
-        zero freeze (all-flows-zero early exit once every lane is done).
+        ``(K * B,)`` final head positions, bit-identical to the scalar
+        flow loop.  Lanes whose total flow hits zero freeze
+        (all-flows-zero early exit once every lane is done).
 
     Raises:
         ValueError: a rate row holds a NaN or an infinity, or a head is
@@ -201,10 +210,19 @@ def advance_flow_heads(
     """
     _check_finite(rates_flat)
     n_streams, batch = included.shape
+    steps = max(int(steps), 0)
     heads = np.zeros(n_streams * batch)
+    per_lane = included.sum(axis=0)
+    lone = np.flatnonzero(per_lane == 1)
+    if lone.size:
+        rows = included[:, lone].argmax(axis=0) * batch + lone
+        stops = ~(rates_flat[rows] > 0.0)
+        first = np.where(stops.any(axis=1), stops.argmax(axis=1), steps)
+        heads[rows] = np.minimum(first, steps)
+        included = included & (per_lane > 1)
     active = included.any(axis=0)
     read = _row_reader(rates_flat)
-    for __ in range(int(steps)):
+    for __ in range(steps):
         if not active.any():
             break
         flows = read(heads).reshape(n_streams, batch)

@@ -140,7 +140,7 @@ class MissCurve:
         The hull is the best achievable misses-vs-size tradeoff when the
         curve's own capacity may be internally partitioned (Talus); it is
         what the capacity partitioner and WhirlTool's distance metric
-        consume.  Computed with the run-skipping monotone-chain scan
+        consume.  Computed with the monotone-chain scan
         :func:`_lower_convex_hull_fast` and cached read-only: every caller,
         and every job sharing a memoized curve, reads the same array.
         """
@@ -305,7 +305,7 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
     Monotone-chain over the points ``(i, values[i])``, re-sampled back
     onto every integer position (piecewise-linear).  It is bit-identical
     to the plain scan, the reference oracle in
-    ``tests/oracles/partition.py``, with three exact accelerations:
+    ``tests/oracles/partition.py``:
 
     - When every value after the first minimum ``m`` equals ``values[m]``
       (every miss curve and rate row: they are non-increasing), only
@@ -323,14 +323,10 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
       leaving only ``n-1``.  The stack is interpolated once; the tail is
       not copied from ``values``, because inside a ``-0.0`` plateau
       ``np.interp`` returns ``+0.0``, and so does the reference.
-    - All pop tests for *consecutive* stack tops are precomputed in one
-      vectorized pass (``(v[j]-v[j-1])*2 >= (v[j+1]-v[j-1])``, the chord
-      test with ``i0=j-1, i1=j, i=j+1``; ``*2``/``*1`` are exact in IEEE
-      so the values match the scalar test).  Runs with no pop (convex
-      stretches) are bulk-appended at C speed and the python loop only
-      touches the stop points.
-    - The scalar fallback around stops works on a plain python list
-      (identical IEEE doubles, much cheaper indexing than numpy scalars).
+    - The scan (:func:`_hull_stack`) runs on a plain python list
+      (identical IEEE doubles, much cheaper indexing than numpy scalars)
+      and keeps the top vertex pair in locals, so a chord test reads no
+      list.
 
     Every chord test evaluated is the same float64 expression on the same
     operands in the same order as the reference scan, so the vertex stack
@@ -344,71 +340,44 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
     m = _first_minimum(values)
     flat_tail = m < n - 1 and bool((values[m + 1 :] == values[m]).all())
     head = values[: m + 1] if flat_tail else values
-    end = len(head)
-    v = head.tolist()
-    # stop_tops[j]: incoming j+1 pops top j when the pair (j-1, j) is on
-    # top of the stack.  Everywhere else the chain cruises.
-    stop_tops = (
-        np.nonzero((head[1:-1] - head[:-2]) * 2.0 >= head[2:] - head[:-2])[0] + 1
-    ).tolist()
-    n_stops = len(stop_tops)
-    s = 0
-    stack = [0]
-    # Length of the suffix of `stack` known to hold consecutive indices
-    # (an understatement is fine; it only skips the vectorized paths).
-    run_len = 1
-    i = 1
-    while i < end:
-        if run_len >= 2 and stack[-1] == i - 1:
-            # Cruise: top pair is consecutive, so the precomputed tests
-            # apply.  Bulk-push through the pop-free run (empty when the
-            # very next point is a stop — fall through to the scalar
-            # chain, which performs the identical test and pops).
-            while s < n_stops and stop_tops[s] < i - 1:
-                s += 1
-            run_end = stop_tops[s] - 1 if s < n_stops else end - 1
-            if run_end >= i:
-                stack.extend(range(i, run_end + 1))
-                run_len += run_end - i + 1
-                i = run_end + 1
-                continue
-        vi = v[i]
-        while len(stack) >= 2:
-            if run_len >= 32:
-                # Pop cascade over a consecutive suffix: every test pairs
-                # (q-1, q), so all of them vectorize (``* 1`` on the rhs
-                # is exact).  Pop the run of top-down successes; the run
-                # bottom and deeper vertices stay on the scalar path.
-                top = stack[-1]
-                m = run_len - 1
-                q = np.arange(top - m + 1, top + 1)
-                flags = (values[q] - values[q - 1]) * (i - (q - 1)) >= (
-                    values[i] - values[q - 1]
-                )
-                rev = flags[::-1]
-                n_pop = m if rev.all() else int(rev.argmin())
-                if n_pop:
-                    del stack[-n_pop:]
-                    run_len -= n_pop
-                if n_pop < m:
-                    break
-                continue
-            i1 = stack[-1]
-            i0 = stack[-2]
-            if (v[i1] - v[i0]) * (i - i0) >= (vi - v[i0]) * (i1 - i0):
-                stack.pop()
-                run_len = max(run_len - 1, 1)
-            else:
-                break
-        stack.append(i)
-        run_len = run_len + 1 if stack[-2] == i - 1 else 1
-        i += 1
+    stack = _hull_stack(head.tolist())
     if flat_tail:
         stack.append(n - 1)
     if len(stack) == n:
         return values.copy()
     xs = np.asarray(stack, dtype=np.float64)
     return np.interp(np.arange(n, dtype=np.float64), xs, values[stack])
+
+
+def _hull_stack(v: list[float]) -> list[int]:
+    """The lower hull's vertex stack over the points ``(i, v[i])``.
+
+    The oracle's monotone chain with its top vertex pair ``(i0, i1)``
+    and their values held in locals; ``below`` holds the rest of the
+    stack.  Each chord test is the oracle's expression on the same
+    operands, so the stack is the oracle's.
+    """
+    end = len(v)
+    if end < 3:
+        return list(range(end))
+    below: list[int] = []
+    i0, v0 = 0, v[0]
+    i1, v1 = 1, v[1]
+    for i in range(2, end):
+        vi = v[i]
+        while (v1 - v0) * (i - i0) >= (vi - v0) * (i1 - i0):
+            if not below:
+                break  # i1 pops and i lands on the lone i0
+            i1, v1 = i0, v0
+            i0 = below.pop()
+            v0 = v[i0]
+        else:
+            below.append(i0)
+            i0, v0 = i1, v1
+        i1, v1 = i, vi
+    below.append(i0)
+    below.append(i1)
+    return below
 
 
 def prime_hull_caches(curves: Iterable["MissCurve"]) -> None:

@@ -80,24 +80,34 @@ _MAX_REGION = (1 << 31) - 1
 #: Records per chunk while a sized text reader pre-scans its capture.
 _SCAN_RECORDS = 1 << 16
 
-#: Lackey ops that are data references (instruction fetches are "I").
-_LACKEY_DATA_OPS = frozenset("LSM")
+#: Lackey record ops: data references and instruction fetches ("I").
+_LACKEY_OPS = frozenset("ILSM")
+
+
+def _is_lackey_record(s: str) -> bool:
+    """Whether the stripped line ``s`` has the shape of a Lackey record.
+
+    A record is an op letter (``I``, ``L``, ``S`` or ``M``), a space or a
+    tab, then ``addr,size``.  Any other line (valgrind's ``==pid==``
+    banners, the program's own output merged into the stream, such as
+    ``Sorting 10 items`` or ``S 3 items``) holds no record.
+    """
+    return s[:1] in _LACKEY_OPS and s[1:2] in (" ", "\t") and "," in s
 
 
 def _lackey_parser() -> LineParser:
     """A Lackey parser that counts ``I`` records in ``parse.instructions``.
 
     Data records are ``L``, ``S`` or ``M`` followed by ``addr,size``, the
-    address in hex.  ``I`` records are instruction fetches; valgrind's
-    ``==pid==`` banners and other lines hold no record.
+    address in hex.  ``I`` records are instruction fetches.  Lines without
+    a record's shape (:func:`_is_lackey_record`) are skipped.
     """
 
     def parse(s: str) -> tuple[int, None] | None:
-        op = s[0]
-        if op == "I":
-            parse.instructions += 1
+        if not _is_lackey_record(s):
             return None
-        if op not in _LACKEY_DATA_OPS:
+        if s[0] == "I":
+            parse.instructions += 1
             return None
         try:
             return int(s[1:].split(",", 1)[0], 16), None
@@ -303,9 +313,7 @@ class LackeySource(_TextSource):
             s = line.strip()
             if not s or s[0] == "=":
                 continue
-            return (
-                s[0] in "ILSM" and "," in s and s[1:2] in (" ", "\t", "")
-            )
+            return _is_lackey_record(s)
         return False
 
 

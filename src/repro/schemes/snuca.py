@@ -124,7 +124,10 @@ class SNUCAScheme(Scheme):
         interval's read heads together as ``(vc, interval)`` arrays; VCs
         with no accesses in an interval contribute exactly ``0.0`` flow,
         which leaves the float sums bit-identical to the serial per-
-        interval subsets.  Ragged grids fall back to the serial loop.
+        interval subsets.  An interval with one VC that has accesses (every
+        interval of a single-VC job) lands its head in closed form, with
+        no flow steps (:func:`~repro.curves.combine.advance_flow_heads`).
+        Ragged grids fall back to the serial loop.
         """
         cfg = self.config
         n_intervals = len(allocations)

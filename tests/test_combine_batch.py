@@ -127,6 +127,28 @@ class TestSharedCacheMisses:
         with pytest.raises(ValueError):
             shared_cache_misses([a, b], 4096.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(0, 1000, allow_nan=False), st.just(-0.0)),
+            min_size=1,
+            max_size=24,
+        ),
+        st.integers(0, 8),
+        instr_values,
+        st.one_of(st.integers(0, 40), st.sampled_from(["width", "past"])),
+    )
+    def test_one_curve_bit_identical_to_reference(self, head, zeros, instr, steps):
+        # A lone stream takes advance_flow_heads' closed form: a
+        # zero-flow tail (or a -0.0 rate) stops it, and so do the steps.
+        c = curve(head + [0.0] * zeros, instr=instr)
+        if steps == "width":
+            steps = c.n_chunks
+        elif steps == "past":
+            steps = c.n_chunks + 5
+        size = steps * CHUNK
+        assert shared_cache_misses([c], size) == shared_cache_misses_reference([c], size)
+
     def test_zero_flow_stops_early(self):
         """Once every stream stops missing, heads freeze in both engines."""
         curves = [curve([10, 0, 0, 0, 0]), curve([4, 0, 0, 0, 0])]
@@ -339,6 +361,49 @@ class TestRateRowKernels:
         got = advance_flow_heads(rates, included, steps)
         want = flow_heads_scalar(rates, included, steps)
         assert got.tobytes() == want.tobytes()
+
+    def test_lone_stream_lanes_bit_identical_to_scalar(self):
+        # One batch with lanes of no stream, one stream (each of the
+        # three) and several streams, over rows that stop at a zero-flow
+        # tail, at a -0.0 rate or not at all, for step counts of 0, inside
+        # the grid, at its width and past it.
+        width = 12
+        falling = np.maximum(6.0 - np.arange(width), 0.0)
+        signed = np.where(np.arange(width) < 4, 1.5, -0.0)
+        rows = np.array([falling, signed, np.full(width, 0.25)])
+        masks = [(), (0,), (1,), (2,), (0, 1), (0, 1, 2), (2,), ()]
+        included = np.array([[k in m for m in masks] for k in range(3)])
+        batch = len(masks)
+        rates = np.concatenate([np.roll(rows, b, axis=0) for b in range(batch)])
+        rates = rates.reshape(batch, 3, width).transpose(1, 0, 2).reshape(-1, width)
+        for steps in (0, 1, 5, width - 1, width, width + 7):
+            got = advance_flow_heads(rates, included, steps)
+            want = flow_heads_scalar(rates, included, steps)
+            assert got.tobytes() == want.tobytes()
+
+    def test_lone_stream_lanes_skip_the_step_loop(self, monkeypatch):
+        # Lanes with at most one stream land in closed form: the step
+        # loop's reader is never asked for a read.
+        reads = []
+        reader = combine._row_reader
+
+        def counting_reader(matrix):
+            read = reader(matrix)
+
+            def counted(pos):
+                reads.append(len(pos))
+                return read(pos)
+
+            return counted
+
+        monkeypatch.setattr(combine, "_row_reader", counting_reader)
+        rates = np.tile(np.linspace(1.0, 0.25, 9), (6, 1))
+        for streams, stepped in (((1, 0, 1), False), ((1, 0, 2), True)):
+            included = np.array([[k < n for n in streams] for k in range(2)])
+            reads.clear()
+            got = advance_flow_heads(rates, included, 20)
+            assert got.tobytes() == flow_heads_scalar(rates, included, 20).tobytes()
+            assert bool(reads) is stepped
 
     def test_head_driven_negative_raises(self):
         # A negative rate moves its head backwards: the next read is below

@@ -2,7 +2,8 @@
 
 Each example runs in its own interpreter with ``PYTHONPATH`` at the
 package, from a scratch working directory, with the artifact store and
-temp files under ``tmp_path``, so a run writes nothing into the checkout.
+temp files under ``tmp_path``, so a run writes nothing into the checkout
+and must leave its temp directory empty.
 Several examples assert their own results (the online one, for
 instance, that streaming equals the offline pipeline bit for bit).
 """
@@ -41,3 +42,4 @@ def test_example_runs(script, tmp_path):
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
+    assert not list(tmp.iterdir())

@@ -87,6 +87,21 @@ class TestGoldenLackey:
         merged = np.concatenate([c.addrs for c in source.chunks(2)])
         assert merged.tolist() == next(iter(source.chunks())).addrs.tolist()
 
+    def test_program_output_holds_no_record(self, tmp_path):
+        # `valgrind ... ./app 2>&1` merges the program's own output into
+        # the capture: a line is a record only when a space or a tab
+        # follows its op letter and an ``addr,size`` pair comes after.
+        path = tmp_path / "merged.lackey"
+        path.write_text(
+            "I  04000000,3\n L 00001000,8\nSorting 10 items\nI am done\n"
+            "I  04000003,2\n S 00002000,4\nInit done\nS 3 items\n M 00003000,8\n"
+        )
+        source = open_trace_source(path)
+        assert source.n_records == 3
+        assert source.instructions == 2.0  # the two real I records
+        chunk = next(iter(source.chunks()))
+        assert chunk.addrs.tolist() == [0x1000, 0x2000, 0x3000]
+
     def test_malformed_record_raises(self, tmp_path):
         bad = tmp_path / "bad.lackey"
         bad.write_text(" L nothex,8\n")

@@ -102,6 +102,29 @@ class TestIngestCLI:
         assert "fingerprint" in out
         assert main(["ingest", "validate", str(dst)]) == 0
 
+    def test_validate_parses_a_text_capture_once(self, tmp_path, monkeypatch, capsys):
+        # Opening a text capture parses every line; validation reports
+        # that count instead of parsing the capture a second time.
+        from repro.ingest.formats import CSVSource, _csv_parser
+
+        src = tmp_path / "t.csv"
+        self.export_csv(src, n=500)
+        parsed = []
+
+        def counting_parser():
+            parse = _csv_parser()
+
+            def counted(line):
+                parsed.append(line)
+                return parse(line)
+
+            return counted
+
+        monkeypatch.setattr(CSVSource, "line_parser", staticmethod(counting_parser))
+        assert main(["ingest", "validate", str(src)]) == 0
+        assert "OK" in capsys.readouterr().out
+        assert len(parsed) == len(src.read_text().splitlines())
+
     def test_validate_catches_tampering(self, tmp_path, capsys):
         import zipfile
 

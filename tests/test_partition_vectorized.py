@@ -4,7 +4,7 @@ The vectorized engine must be *bit-identical* to
 ``partition_cost_curves_reference`` — same sizes, same total cost — on
 every input, including adversarial float patterns (exact ties, ulp-level
 hull-interpolation jitter).  The same holds one layer down for the
-run-skipping convex-hull scan vs. the original monotone chain, and
+list-based convex-hull scan vs. the original monotone chain, and
 beside it for the optimal-split curve vs. the serial merged-gains scan.
 The oracles live in ``tests/oracles/partition.py``.
 """
@@ -65,17 +65,74 @@ cost_curve = st.one_of(
 curve_set = st.lists(cost_curve, min_size=1, max_size=6)
 
 
+def _convex_run(n, pops=0, cliffs=()):
+    """``n`` points of strictly convex integer decay, minimum last.
+
+    It pops nothing but ``pops`` flat steps, spread over the run, and
+    one cliff (everything before index ``c`` raised by ``h``) per
+    ``(c, h)`` in ``cliffs``: each is one consecutive pop, so the scan
+    has ``pops + len(cliffs)`` of them when they are apart.
+    """
+    drops = np.arange(n - 1, 0, -1, dtype=np.float64)
+    drops[np.linspace(2, n - 4, pops).astype(int)] = 0.0
+    values = (drops.sum() - np.concatenate([[0.0], np.cumsum(drops)])) + 1.0
+    for c, h in cliffs:
+        values[:c] += h
+    return values
+
+
+def _convex_spec(spec):
+    """:func:`_convex_run` with cliffs and bumps at fractions of its length."""
+    n, bumps, cliffs = spec
+    values = _convex_run(n, cliffs=[(1 + int(f * (n - 2)), h) for f, h in cliffs])
+    values[[1 + int(f * (n - 3)) for f in bumps]] += 0.5
+    return values
+
+
+# Long convex runs with a few bumps and cliffs: long pop-free runs, then
+# a cascade of pops back to the cliff.
+convex_run = st.tuples(
+    st.integers(192, 768),
+    st.lists(st.floats(0, 1), max_size=6),
+    st.lists(st.tuples(st.floats(0, 1), st.floats(1, 5000)), max_size=3),
+).map(_convex_spec)
+
+
+def _step_prefix(spec):
+    """A step-shaped latency curve cut at its first minimum (what Jigsaw hulls)."""
+    n, seed = spec
+    rng = np.random.default_rng(seed)
+    drops = rng.exponential(1.0, n) * (rng.random(n) < 0.5)
+    drops[-1] += 1e-3  # the prefix ends at its only minimum
+    return 1.0 + np.cumsum(drops[::-1])[::-1]
+
+
+# Long pop-dense prefixes: most consecutive triples pop.
+step_prefix = st.tuples(
+    st.integers(192, 512),
+    st.integers(0, 2**32 - 1),
+).map(_step_prefix)
+
+
 class TestHullEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
             st.lists(curve_value, min_size=1, max_size=60).map(np.array),
             tailed_curve,
+            convex_run,
+            step_prefix,
         )
     )
     # Plateaus whose chord-test products overflow keep the full scan.
     @example(np.array([np.inf, 5.0, 5.0, 5.0]))
     @example(np.array([1e308, -1e308, -1e308, -1e308]))
+    # A -0.0 plateau: the scan is one point, then the tail's last one.
+    @example(np.array([-0.0, -0.0, -0.0]))
+    # A pop down to the lone first vertex, and a long convex run whose
+    # cliff pops back across hundreds of vertices.
+    @example(np.array([0.0, 1.0, 0.0, 0.0]))
+    @example(_convex_run(1024, pops=7, cliffs=[(300, 9e5)]))
     def test_fast_hull_bit_identical(self, values):
         with np.errstate(over="ignore", invalid="ignore"):
             got = _lower_convex_hull_fast(values)

@@ -539,6 +539,10 @@ TEXT_CAPTURES = {
         "I  04000000,3\n L 00001000,8\nI  04000003,2\n"
         " M 00002000,4\nI  04000005,1\n S 00003000,8\n"
     ),
+    "program_output.lackey": (
+        "I  04000000,3\n L 00001000,8\nSorting 10 items\nI am done\n"
+        "I  04000003,2\n S 00002000,4\nInit done\nS 3 items\n M 00003000,8\n"
+    ),
     "malformed_addr.lackey": " L 00001000,8\n\n L nothex,8\n",
     "unknown_op.lackey": " L 00001000,8\n X 00002000,8\n S 00003000,8\n",
 }
