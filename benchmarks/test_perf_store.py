@@ -4,12 +4,12 @@ Same contract as the other perf smokes: a CI gate with a conservative
 floor so slow runners don't flake, plus timings written as JSON
 (``benchmarks/perf_store_timings.json``, gitignored) for the CI
 artifact upload.  The gates model the campaign-worker steady state:
-the first worker pays one cold deserialize of a compressed legacy
-profile, every later worker re-opens the store's uncompressed payload
-and gets memory-mapped views — the OS page cache makes the repeat
-open O(header bytes), not O(payload bytes) — and within one worker,
-every later job asking for the same profile is served by the
-in-process memo without opening the payload at all.
+the first worker pays one cold deserialize of a compressed profile
+(the fixture pile's encoding), every later worker re-opens the store's
+uncompressed payload and gets memory-mapped views — the OS page cache
+makes the repeat open O(header bytes), not O(payload bytes) — and
+within one worker, every later job asking for the same profile is
+served by the in-process memo without opening the payload at all.
 """
 
 import time
@@ -96,8 +96,8 @@ class TestPerfStore:
         payload = encode_payload(curves)
         payload_mb = sum(a.nbytes for a in payload.values()) / 1e6
 
-        # Cold path: the legacy cache layout — one compressed npz that
-        # must be inflated and copied in full on every load.
+        # Cold path: the same payload compressed, as in the fixture
+        # pile — inflated and copied in full on every load.
         legacy = tmp_path / "legacy.npz"
         with open(legacy, "wb") as fh:
             np.savez_compressed(fh, **payload)

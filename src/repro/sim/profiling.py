@@ -120,13 +120,11 @@ def relabel_regions(
             dst += vcs.take(slot) * (table.take(slot) == block)
     return out
 
-#: On-disk cache version (defined in :mod:`repro.store.profiles`, the
-#: payload's single source of truth).  Version 1 fingerprints hashed only
-#: a stride-257 sample of the trace, so short traces with equal length and
-#: instruction count could collide and serve the wrong curves; version 2
-#: hashes the full arrays.  Loads reject any other version (files without
-#: the key load as version 1), so stale entries are re-profiled, never
-#: misread.
+#: Cache-key version (defined in :mod:`repro.store.profiles`).  Version
+#: 1 fingerprints hashed only a stride-257 sample of the trace, so short
+#: traces with equal length and instruction count could collide and
+#: serve the wrong curves; version 2 hashes the full arrays.  Every key
+#: hashes the version, so an entry keyed by another one is never read.
 _FORMAT_VERSION = FORMAT_VERSION
 
 #: Bytes of curve sets the per-process memo may keep.  The largest set a

@@ -352,10 +352,11 @@ class ArtifactStore:
     def verify(self) -> dict:
         """Integrity pass: every payload parses and matches its key.
 
-        Profiles must load as a current-version curve payload; traces
-        must re-hash to the fingerprint they are filed under; name
-        bindings must point at existing artifacts.  Returns ``{"ok":
-        [...], "bad": {artifact: reason}}``.
+        Profiles must match their member CRCs and hold a current-layout
+        curve payload; traces must re-hash to the fingerprint they are
+        filed under; name bindings must point at existing artifacts.  A
+        damaged payload is listed under ``bad``, never raised.  Returns
+        ``{"ok": [...], "bad": {artifact: reason}}``.
         """
         with obs.span("store.verify") as sp:
             result = self._verify()
@@ -401,6 +402,8 @@ class ArtifactStore:
     def _compact(self, dry_run: bool) -> dict:
         import zipfile
 
+        from repro.store.mmapzip import write_stored_zip
+
         rewritten: list[str] = []
         for kind, fingerprint, path in self.artifacts():
             with zipfile.ZipFile(path) as zf:
@@ -414,27 +417,25 @@ class ArtifactStore:
             if dry_run:
                 continue
 
-            def _rewrite(tmp: Path) -> None:
-                with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as out:
-                    for member_name, payload in members:
-                        out.writestr(member_name, payload)
-
-            self.publish(kind, fingerprint, _rewrite)
+            self.publish(
+                kind, fingerprint, lambda tmp: write_stored_zip(tmp, members)
+            )
         return {"rewritten": rewritten, "dry_run": dry_run}
 
 
 def _verify_trace_payload(path: Path, fingerprint: str) -> str | None:
     from repro.ingest import RTraceSource
+    from repro.store.mmapzip import ZIP_READ_ERRORS
 
     try:
         source = RTraceSource(path)
-    except ValueError as exc:
+        if source.fingerprint != fingerprint:
+            return (
+                f"header fingerprint {source.fingerprint} does not match "
+                f"storage key {fingerprint}"
+            )
+        if not source.verify_fingerprint():
+            return "content does not match its fingerprint"
+    except ZIP_READ_ERRORS as exc:
         return str(exc)
-    if source.fingerprint != fingerprint:
-        return (
-            f"header fingerprint {source.fingerprint} does not match "
-            f"storage key {fingerprint}"
-        )
-    if not source.verify_fingerprint():
-        return "content does not match its fingerprint"
     return None

@@ -17,6 +17,7 @@ import zipfile
 from pathlib import Path
 
 from repro.store.artifacts import ArtifactStore, check_name, provenance_record
+from repro.store.mmapzip import write_stored_zip
 
 __all__ = ["publish_trace"]
 
@@ -77,6 +78,4 @@ def _copy_as_stored(src: Path, tmp: Path) -> None:
         if all(i.compress_type == zipfile.ZIP_STORED for i in infos):
             tmp.write_bytes(src.read_bytes())
             return
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zout:
-            for info in infos:
-                zout.writestr(info.filename, zin.read(info.filename))
+        write_stored_zip(tmp, ((i.filename, zin.read(i)) for i in infos))

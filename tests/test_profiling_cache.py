@@ -11,6 +11,7 @@ import hashlib
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 
 from repro.curves import miss_curve
 from repro.curves.miss_curve import MissCurve, prime_hull_caches
+from repro.curves.reuse import StackDistanceProfiler
 from repro.sim import profiling
 from repro.sim.profiling import profile_vcs
-from repro.store import ArtifactStore, load_profile, publish_profile
+from repro.store import ArtifactStore, load_profile, npz_arrays, publish_profile
 from repro.store.mmapzip import is_mapped
-from repro.store.profiles import encode_payload
+from repro.store.profiles import LAYOUT, encode_payload, verify_profile_payload
 from repro.workloads.trace import Trace
 
 
@@ -113,6 +115,38 @@ def seed_cache(n_intervals=2):
     return trace, kwargs, cold, path
 
 
+def write_per_curve_layout(path, curves):
+    """Write ``curves`` as the payload layout before :data:`LAYOUT`.
+
+    One member per (VC, interval) curve, two per VC, and a format
+    version instead of a layout tag.
+    """
+    payload = {
+        "format_version": np.array(2, dtype=np.int64),
+        "vc_ids": np.array(sorted(curves), dtype=np.int64),
+    }
+    for i, vc in enumerate(sorted(curves)):
+        payload[f"a_{i}"] = np.array([c.accesses for c in curves[vc]])
+        payload[f"i_{i}"] = np.array([c.instructions for c in curves[vc]])
+        for t, c in enumerate(curves[vc]):
+            payload[f"m_{i}_{t}"] = c.misses
+    with open(path, "wb") as f:
+        np.savez(f, **payload)
+
+
+def count_profiles(monkeypatch):
+    """Record every stack-distance profiling pass from now on."""
+    calls = []
+    real = StackDistanceProfiler.profile
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StackDistanceProfiler, "profile", counting)
+    return calls
+
+
 class TestStaleCache:
     def rewrite(self, path, mutate):
         data = dict(np.load(path))
@@ -121,28 +155,52 @@ class TestStaleCache:
 
     def test_missing_interval_arrays_fall_back(self, store_env):
         trace, kwargs, cold, path = seed_cache()
-        # A stale/partial file missing an m_{i}_{t} array must re-profile,
-        # not raise KeyError.
-        self.rewrite(path, lambda d: d.pop("m_0_1"))
+        # A stale/partial payload holding fewer intervals than its key
+        # names must re-profile, not raise.
+        self.rewrite(path, lambda d: d.update(misses=d["misses"][:, :1]))
         assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
 
     def test_wrong_format_version_falls_back(self, store_env):
         trace, kwargs, cold, path = seed_cache()
         self.rewrite(
-            path,
-            lambda d: d.update(format_version=np.array(999, dtype=np.int64)),
+            path, lambda d: d.update(layout=np.array(999, dtype=np.int64))
         )
         assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
 
-    def test_legacy_file_without_version_key_is_regenerated(self, store_env):
+    def test_legacy_file_without_version_key_is_regenerated(
+        self, store_env, monkeypatch
+    ):
         trace, kwargs, cold, path = seed_cache()
-        # Files without a version key load as version 1, whose fingerprints
-        # were computed from a stride-257 sample and can collide.  They
-        # must be re-profiled and rewritten, never served.
-        self.rewrite(path, lambda d: d.pop("format_version"))
+        # An entry of the earlier per-curve layout has no layout tag.  It
+        # is profiled once more and republished in the current layout,
+        # which every later load then serves.
+        write_per_curve_layout(path, cold)
+        profiling._MEMO.clear()
+        profiles = count_profiles(monkeypatch)
         assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
-        data = np.load(path)
-        assert int(data["format_version"]) == profiling._FORMAT_VERSION
+        assert int(np.load(path)["layout"]) == LAYOUT
+        profiling._MEMO.clear()
+        assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
+        assert len(profiles) == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b"{'descr'", b"{'descX'"), (b"{'descr'", b"['descr'")],
+        ids=["missing-key", "not-a-literal"],
+    )
+    def test_damaged_npy_header_reprofiles(
+        self, store_env, monkeypatch, old, new
+    ):
+        trace, kwargs, cold, path = seed_cache()
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        grid = (kwargs["chunk_bytes"], kwargs["n_intervals"])
+        assert load_profile(path, *grid) is None
+        profiling._MEMO.clear()
+        profiles = count_profiles(monkeypatch)
+        assert_curves_equal(profile_vcs(trace, use_cache=True, **kwargs), cold)
+        assert len(profiles) == 1
+        assert verify_profile_payload(path) is None  # republished
+        assert_curves_equal(load_profile(path, *grid), cold)
 
     def test_garbage_file_falls_back(self, store_env):
         trace, kwargs, cold, path = seed_cache()
@@ -152,7 +210,19 @@ class TestStaleCache:
     def test_store_writes_current_version(self, store_env):
         __, __, __, path = seed_cache()
         data = np.load(path)
-        assert int(data["format_version"]) == profiling._FORMAT_VERSION
+        assert int(data["layout"]) == LAYOUT
+
+
+class TestCommittedPile:
+    def test_every_pile_file_is_current(self):
+        # store_env hides the pile from profile_vcs, so a stale pile
+        # would otherwise show only where the benchmarks read it.
+        pile = Path(__file__).resolve().parents[1] / ".profile_cache"
+        files = sorted(pile.glob("*.npz"))
+        assert files
+        for path in files:
+            assert verify_profile_payload(path) is None, path.name
+            assert int(npz_arrays(path)["layout"]) == LAYOUT, path.name
 
 
 class TestFingerprint:
@@ -184,6 +254,26 @@ class TestFingerprint:
         assert profiling._fingerprint(trace, {0: 0, 1: 0}, **args) == one_vc
         fresh = make_trace([0, 1, 2, 3], [0, 0, 1, 1], 100.0)
         assert profiling._fingerprint(fresh, {0: 0, 1: 0}, **args) == one_vc
+
+    def test_rtrace_digest_bytes_are_pinned(self, tmp_path):
+        # Every .rtrace header and every stored trace is named by these
+        # bytes, however the stream was chunked.
+        from repro.ingest.formats import RTraceWriter
+
+        lines = np.array([0, 1, 2, 3, 1 << 40], dtype=np.int64)
+        regions = np.array([0, 0, 1, 1, -7], dtype=np.int32)
+        for cuts in ((5,), (2, 5), (1, 3, 5)):
+            writer = RTraceWriter(tmp_path / f"{len(cuts)}.rtrace", 64)
+            lo = 0
+            for hi in cuts:
+                writer.append(lines[lo:hi], regions[lo:hi])
+                lo = hi
+            got = writer.close(instructions=100.0)["fingerprint"]
+            assert got == "643fec6cc6fb9f92859fae56761639af", (
+                f"the rtrace content fingerprint changed (now {got}): if "
+                "what it hashes changed on purpose, bump _RTRACE_VERSION "
+                "in repro/ingest/formats.py and re-pin this digest"
+            )
 
     def test_arrays_hash_once_per_trace(self, monkeypatch):
         made = []

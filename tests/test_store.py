@@ -5,6 +5,7 @@ fixture pile is exercised separately in ``test_profiling_cache.py``.
 """
 
 import json
+import struct
 import zipfile
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.store.artifacts import ENV_STORE
 from repro.store.mmapzip import MappedArchive, is_mapped
 from repro.store.profiles import (
     FORMAT_VERSION,
+    LAYOUT,
     load_profile,
     publish_profile,
     verify_profile_payload,
@@ -97,10 +99,61 @@ class TestMappedArchive:
             assert not arr.flags.writeable
             assert arr.base is not None
 
-    def test_compressed_npz_returns_none(self, tmp_path):
+    def test_compressed_npz_is_inflated(self, tmp_path):
         path = tmp_path / "p.npz"
-        np.savez_compressed(path, a=np.arange(10))
-        assert npz_arrays(path) is None
+        np.savez_compressed(path, a=np.arange(10), b=np.linspace(0, 1, 7))
+        arrays = npz_arrays(path)
+        assert np.array_equal(arrays["a"], np.arange(10))
+        assert np.array_equal(arrays["b"], np.linspace(0, 1, 7))
+        for arr in arrays.values():
+            assert not arr.flags.writeable
+            assert not is_mapped(arr)
+        assert MappedArchive(path).npy_member("a.npy") is None
+
+    def test_damaged_deflated_member_rejected(self, tmp_path):
+        path = tmp_path / "p.npz"
+        np.savez_compressed(path, a=np.zeros(4096))
+        with zipfile.ZipFile(path) as zf:
+            (info,) = zf.infolist()
+        raw = bytearray(path.read_bytes())
+        lo = info.header_offset
+        nlen, elen = struct.unpack("<HH", raw[lo + 26 : lo + 30])
+        raw[lo + 30 + nlen + elen + 4] ^= 0xFF  # a byte of the stream
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            npz_arrays(path)
+
+    def test_impossible_inflated_size_rejected(self, tmp_path):
+        path = tmp_path / "p.npz"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+            zf.writestr("a.npy", b"\x93NUMPY" + bytes(4096))
+        raw = bytearray(path.read_bytes())
+        central = raw.index(b"PK\x01\x02")
+        # The directory's uncompressed size, far past deflate's 1032:1.
+        raw[central + 24 : central + 28] = struct.pack("<I", 1 << 31)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="declares"):
+            npz_arrays(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"{'descr'", b"{'descX'"),  # a missing key
+            (b"{'descr'", b"['descr'"),  # not a literal
+            (b"'shape': (", b"'shape': {"),  # not a literal either
+            (b"'shape': (", b"'shape':1("),  # a shape that is no tuple
+            (b"'descr': '<", b"'descr': '?"),  # no dtype
+        ],
+    )
+    def test_damaged_npy_header_is_a_value_error(self, tmp_path, old, new):
+        path = tmp_path / "p.npz"
+        with open(path, "wb") as f:
+            np.savez(f, a=np.arange(4.0))
+        raw = path.read_bytes()
+        assert old in raw
+        path.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(ValueError, match="npy header"):
+            npz_arrays(path)
 
     def test_member_names_and_missing_member(self, tmp_path):
         path = tmp_path / "p.npz"
@@ -224,14 +277,14 @@ class TestArtifactStore:
 
         store.publish("profiles", "aa" * 16, write_deflated)
         path = store.path("profiles", "aa" * 16)
-        assert npz_arrays(path) is None  # not mappable yet
+        assert not is_mapped(npz_arrays(path)["x"])  # not mappable yet
         dry = store.compact(dry_run=True)
         assert dry["rewritten"] == ["profiles/" + "aa" * 16]
-        assert npz_arrays(path) is None
+        assert not is_mapped(npz_arrays(path)["x"])
         real = store.compact()
         assert real["rewritten"] == dry["rewritten"]
         arrays = npz_arrays(path)
-        assert arrays is not None
+        assert is_mapped(arrays["x"]) and arrays["x"].flags.aligned
         assert np.array_equal(arrays["x"], np.arange(50))
         assert store.compact()["rewritten"] == []  # idempotent
 
@@ -248,9 +301,14 @@ class TestProfilePayload:
                 assert np.array_equal(got.misses, want.misses)
                 assert got.accesses == want.accesses
                 assert got.instructions == want.instructions
-                # Zero-copy: a read-only view over the file mapping.
+                # Zero-copy: a read-only view over the file mapping,
+                # aligned so numpy takes its aligned loops.
                 assert not got.misses.flags.writeable
                 assert is_mapped(got.misses)
+                assert got.misses.flags.aligned
+        # Equal curves publish byte-equal payloads.
+        again = publish_profile(store, "cd" * 16, curves)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_load_falls_back_on_compressed(self, tmp_path):
         from repro.store.profiles import encode_payload
@@ -271,10 +329,61 @@ class TestProfilePayload:
         publish_profile(store, "ab" * 16, make_curves(n_intervals=2))
         path = store.get("profiles", "ab" * 16)
         assert verify_profile_payload(path) is None
-        data = dict(np.load(path))
-        del data["m_0_1"]
-        np.savez(open(path, "wb"), **data)
-        assert "m_0_1" in verify_profile_payload(path)
+        sound = dict(np.load(path))
+        for mutate, reason in (
+            (lambda d: d.update(misses=d["misses"][:, :1]), "do not stack"),
+            (lambda d: d.pop("instructions"), "missing instructions"),
+            (lambda d: d.update(layout=np.array(2)), "layout"),
+            (lambda d: d.pop("layout"), "no layout tag"),
+        ):
+            data = dict(sound)
+            mutate(data)
+            with open(path, "wb") as f:
+                np.savez(f, **data)
+            assert reason in verify_profile_payload(path)
+        # A flipped bit in a stored curve parses fine; only its CRC-32
+        # shows the damage.
+        with open(path, "wb") as f:
+            np.savez(f, **sound)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(sound["misses"].tobytes()) + 5] ^= 0x01
+        path.write_bytes(bytes(raw))
+        assert "bad CRC-32 for member 'misses.npy'" in verify_profile_payload(path)
+
+    def test_payload_is_one_array_per_quantity(self, store):
+        curves = make_curves(n_intervals=3, n_chunks=5)
+        path = publish_profile(store, "ab" * 16, curves)
+        with zipfile.ZipFile(path) as zf:
+            assert sorted(zf.namelist()) == [
+                "accesses.npy",
+                "instructions.npy",
+                "layout.npy",
+                "misses.npy",
+                "vc_ids.npy",
+            ]
+        arrays = npz_arrays(path)
+        assert int(arrays["layout"]) == LAYOUT
+        assert arrays["misses"].shape == (2, 3, 6)
+        loaded = load_profile(path, chunk_bytes=1024, n_intervals=3)
+        # Every curve is a row of the one mapped misses array.
+        rows = [c.misses for series in loaded.values() for c in series]
+        (base,) = {id(m.base): m.base for m in rows}.values()
+        assert base.size == 2 * 3 * 6 and is_mapped(base)
+
+    def test_ragged_curves_are_refused(self):
+        from repro.curves.miss_curve import MissCurve
+        from repro.store.profiles import encode_payload
+
+        curves = make_curves(n_intervals=2)
+        curves[7] = curves[1][:1]
+        with pytest.raises(ValueError, match="VC 7 has 1 intervals"):
+            encode_payload(curves)
+        curves[7] = [
+            curves[1][0],
+            MissCurve(np.zeros(3), 1024, accesses=1.0, instructions=1.0),
+        ]
+        with pytest.raises(ValueError, match="VC 7 interval 1"):
+            encode_payload(curves)
 
 
 class TestPublishTrace:
@@ -291,6 +400,11 @@ class TestPublishTrace:
         source = RTraceSource(dst)
         assert source.fingerprint == fp  # compression-invariant key
         assert source.verify_fingerprint()
+        archive = MappedArchive(dst)
+        for name in archive.members():
+            if name.endswith(".npy"):
+                chunk = archive.npy_member(name)
+                assert is_mapped(chunk) and chunk.flags.aligned
         assert store.resolve_name("app")["fingerprint"] == fp
         meta = store.provenance("traces", fp)
         assert meta["builder"].endswith("publish_trace")
@@ -346,6 +460,38 @@ class TestStoreCLI:
         assert main(["store", "verify"]) == 1
         assert "BAD" in capsys.readouterr().err
 
+    def test_verify_lists_each_damaged_payload(self, store, tmp_path, capsys):
+        from repro.cli import main
+
+        for key, seed in (("aa", 0), ("bb", 1)):
+            publish_profile(store, key * 16, make_curves(seed=seed))
+        traces = []
+        for seed in (3, 4):
+            make_rtrace(tmp_path / f"{seed}.rtrace", seed=seed, apki=8.0)
+            fp, __ = publish_trace(
+                store, tmp_path / f"{seed}.rtrace", name=f"t{seed}"
+            )
+            traces.append(fp)
+        # An npy header that no longer parses (so its CRC fails too), and
+        # a local file header whose name no longer matches the directory.
+        profile = store.path("profiles", "bb" * 16)
+        profile.write_bytes(
+            profile.read_bytes().replace(b"{'descr'", b"{'descX'", 1)
+        )
+        trace = store.path("traces", traces[1])
+        raw = bytearray(trace.read_bytes())
+        raw[raw.find(b"PK\x03\x04") + 31] ^= 0xFF
+        trace.write_bytes(bytes(raw))
+        assert main(["store", "verify"]) == 1
+        out, err = capsys.readouterr()
+        assert "verified 2 artifacts, 2 bad" in out
+        bad = sorted(
+            line.split(":")[0] for line in err.splitlines() if "BAD" in line
+        )
+        assert bad == sorted(
+            [f"BAD profiles/{'bb' * 16}", f"BAD traces/{traces[1]}"]
+        )
+
     def test_missing_store_handled(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
@@ -375,7 +521,8 @@ class TestStoreCLI:
         assert main(["store", "compact"]) == 0
         assert store.status()["kinds"]["profiles"]["artifacts"] == 1
         # Imported payloads come out mappable.
-        assert npz_arrays(store.path("profiles", "cd" * 16)) is not None
+        arrays = npz_arrays(store.path("profiles", "cd" * 16))
+        assert all(is_mapped(a) for a in arrays.values())
         assert main(["store", "compact"]) == 0  # idempotent
         assert store.status()["kinds"]["profiles"]["artifacts"] == 1
 
