@@ -152,16 +152,22 @@ class TestPerfPartition:
         """Headline instance: 64 consumers x 4096 chunks, >= 5x required.
 
         Full contention (every chunk is in play) so the merge ranks all
-        ~260k marginal-gain segments; measured speedup is 6-9x on a
+        ~260k marginal-gain segments; measured speedup is 5.6-8.1x on a
         2-vCPU host, asserted at the 5x acceptance floor so slow CI
-        boxes don't flake.
+        boxes don't flake.  The two sides alternate for five rounds and
+        each keeps its best, so a slow spell of the host slows both
+        sides instead of only the one timed during it.
         """
         curves = _instance()
         total = N_CONSUMERS * N_CHUNKS
-        t_vec, got = _best_of(lambda: partition_cost_curves(curves, total))
-        t_ref, want = _best_of(
-            lambda: partition_cost_curves_reference(curves, total), repeats=2
-        )
+        t_vec = t_ref = float("inf")
+        for __ in range(5):
+            t, got = _best_of(lambda: partition_cost_curves(curves, total), repeats=1)
+            t_vec = min(t_vec, t)
+            t, want = _best_of(
+                lambda: partition_cost_curves_reference(curves, total), repeats=1
+            )
+            t_ref = min(t_ref, t)
         assert got == want  # bit-identical sizes and total cost
         speedup = t_ref / t_vec
         _record_timings("smoke_64x4096", t_vec, t_ref)

@@ -17,8 +17,6 @@ Commands
 - ``store`` — status/gc/verify/compact of the content-addressed
   artifact store (``repro.store``) that holds cached profiles and
   registered traces.
-- ``lint`` — AST-based static checks of the repo's bit-identity,
-  fixture-stability, and atomicity invariants (``repro.devtools.lint``).
 - ``obs`` — inspect the structured-tracing event logs campaigns write
   (``repro.obs``): wall-clock breakdowns, retry storms, cache ratios.
 """
@@ -646,55 +644,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return cmd_store(args)
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Static invariant checks (see :mod:`repro.devtools.lint`)."""
-    import json as _json
-
-    from repro.devtools.lint import (
-        RULES,
-        explain_rule,
-        find_root,
-        format_json,
-        format_text,
-        lint_paths,
-    )
-
-    if args.explain is not None:
-        try:
-            print(explain_rule(args.explain))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    rules = None
-    if args.rules:
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        unknown = sorted(set(rules) - set(RULES))
-        if unknown:
-            print(
-                f"error: unknown rule ids: {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(RULES))}",
-                file=sys.stderr,
-            )
-            return 2
-    root = Path(args.root) if args.root else find_root()
-    try:
-        findings = lint_paths(
-            paths=args.paths or None,
-            rules=rules,
-            root=root,
-            manifest_path=args.manifest,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(_json.dumps(format_json(findings, root), indent=2))
-    else:
-        print(format_text(findings))
-    return 1 if findings else 0
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     """Summarize an events sidecar (see :mod:`repro.obs.report`)."""
     import json as _json
@@ -973,43 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="gc/compact: report what would change without touching disk",
     )
 
-    p_lint = sub.add_parser(
-        "lint", help="static checks of the repo's pinned invariants"
-    )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to lint (default: src tests benchmarks)",
-    )
-    p_lint.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (json is the stable CI artifact schema)",
-    )
-    p_lint.add_argument(
-        "--explain",
-        metavar="RULE-ID",
-        default=None,
-        help="print a rule's rationale and exit",
-    )
-    p_lint.add_argument(
-        "--root",
-        default=None,
-        help="repository root (default: nearest ancestor with "
-        "pyproject.toml)",
-    )
-    p_lint.add_argument(
-        "--manifest",
-        default=None,
-        help="alternate invariants.toml (default: the packaged manifest)",
-    )
-
     p_obs = sub.add_parser(
         "obs", help="inspect structured-tracing event logs"
     )
@@ -1055,7 +967,6 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "ingest": _cmd_ingest,
     "store": _cmd_store,
-    "lint": _cmd_lint,
     "obs": _cmd_obs,
 }
 

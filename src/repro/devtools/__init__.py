@@ -1,13 +1,8 @@
-"""Developer tooling: static enforcement of the repo's conventions.
+"""Developer tooling: deterministic fault injection for chaos tests.
 
-The reproduction's correctness rests on invariants that no test can see
-directly — fingerprint field sets, bit-identity oracle pairings,
-atomic-publish discipline, load-bearing instrumentation.  :mod:`repro.devtools.
-lint` turns those conventions into machine-checked rules (``python -m
-repro lint``), the way build infrastructures turn provenance conventions
-into ``Package`` records: tooling, not tribal memory.
+:mod:`repro.devtools.faults` injects seeded, reproducible failures at
+named runtime sites, armed only through ``$REPRO_FAULTS``.  The repo's
+other invariants (oracle pairings, fingerprint inputs, atomic publishes,
+span pairing) are held by the design and by tier-1 tests; CONTRIBUTING.md
+names the test or helper behind each.
 """
-
-from repro.devtools.lint import Finding, Rule, lint_paths
-
-__all__ = ["Finding", "Rule", "lint_paths"]

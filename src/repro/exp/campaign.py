@@ -10,7 +10,6 @@ they can be submitted from the CLI (``python -m repro campaign``).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -99,10 +98,7 @@ class Campaign:
 
     def save(self, path: str | Path) -> None:
         """Write the spec as JSON (atomically: temp sibling + replace)."""
-        dst = Path(path)
-        tmp = dst.parent / f".{dst.name}.{os.getpid()}.tmp"
-        try:
-            tmp.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-            os.replace(tmp, dst)
-        finally:
-            tmp.unlink(missing_ok=True)
+        from repro.store.artifacts import atomic_write
+
+        text = json.dumps(self.to_dict(), indent=2) + "\n"
+        atomic_write(Path(path), lambda tmp: tmp.write_text(text))

@@ -17,7 +17,6 @@ Fig-22-scale runs (20 mixes × 4/16 cores) and larger are one command::
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -139,13 +138,10 @@ class MixCampaign:
 
     def save(self, path: str | Path) -> None:
         """Write the spec as JSON (atomically: temp sibling + replace)."""
-        dst = Path(path)
-        tmp = dst.parent / f".{dst.name}.{os.getpid()}.tmp"
-        try:
-            tmp.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-            os.replace(tmp, dst)
-        finally:
-            tmp.unlink(missing_ok=True)
+        from repro.store.artifacts import atomic_write
+
+        text = json.dumps(self.to_dict(), indent=2) + "\n"
+        atomic_write(Path(path), lambda tmp: tmp.write_text(text))
 
 
 def weighted_speedup_table(

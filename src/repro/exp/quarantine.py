@@ -11,8 +11,10 @@ list|retry|clear`` inspects, re-executes, or drops them.
 The file format follows the ResultStore's discipline: append-only JSON
 lines, flushed + fsynced per append, last write wins on replay, and a
 truncated trailing line from a killed writer is skipped and repaired on
-the next append.  ``remove``/``clear`` rewrite through a same-directory
-temp + ``os.replace`` (the repo's atomic-publish rule).
+the next append.  ``remove`` rewrites the file through
+:func:`repro.store.artifacts.atomic_write` (fsynced temp sibling, then
+``os.replace``), so a failed rewrite keeps the previous file; ``clear``
+unlinks it.
 """
 
 from __future__ import annotations
@@ -114,16 +116,16 @@ class Quarantine:
             self.path.unlink(missing_ok=True)
             self._needs_newline = False
             return len(doomed)
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        try:
+        from repro.store.artifacts import atomic_write
+
+        def write(tmp: Path) -> None:
             with open(tmp, "w", encoding="utf-8") as fh:
                 for entry in self._entries.values():
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+
+        atomic_write(self.path, write)
         self._needs_newline = False
         return len(doomed)
 

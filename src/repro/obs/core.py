@@ -41,6 +41,7 @@ runner's default events sidecar.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -137,6 +138,11 @@ class MetricRegistry:
         }
 
 
+# One counter per process, shared by every state: a pool worker installs
+# a fresh state per job (see ``adopt``), and its span ids must not repeat.
+_SPAN_SEQ = itertools.count(1)
+
+
 class ObsState:
     """The active configuration: sinks, registry, trace id, span stack."""
 
@@ -158,12 +164,10 @@ class ObsState:
         self.stack: list[str] = []
         self.owns_sinks = owns_sinks
         self._pid = os.getpid()
-        self._next_span = 0
 
     def new_span_id(self) -> str:
         """A process-unique span id (pid-tagged counter)."""
-        self._next_span += 1
-        return f"{self._pid:x}-{self._next_span:x}"
+        return f"{self._pid:x}-{next(_SPAN_SEQ):x}"
 
     def current_span(self) -> str | None:
         """The innermost open nested span, else the adopted parent."""
@@ -417,8 +421,9 @@ _NOOP_SPAN = _NoopSpan()
 def span(name: str, **fields: Any) -> Any:
     """A timed, nested span; use as ``with obs.span("name", k=v):``.
 
-    The lint rule ``obs-span-pairing`` enforces the ``with`` form —
-    a bare call would never emit its ``span-end``.
+    The context manager writes both records: ``span-start`` on entry and
+    ``span-end`` on exit.  A call that is never entered writes nothing,
+    so it cannot leave a span open in the log.
     """
     state = _STATE
     if state is None:

@@ -21,9 +21,10 @@ Layout::
                                              that does not start with ".")
     <root>/tmp/                              staging area (gc cleans it)
 
-Every payload lands via same-directory temp + ``os.replace``, so
-concurrent campaign workers never observe a half-written artifact, and
-a crash leaves at most a dot-prefixed temp that ``gc`` removes.
+Every payload lands through :func:`atomic_write` (same-directory temp +
+``os.replace``), so concurrent campaign workers never observe a
+half-written artifact, and a crash leaves at most a dot-prefixed temp
+that ``gc`` removes.
 
 The root resolves from ``$REPRO_STORE_DIR``; without it, a source
 checkout keeps artifacts in ``<repo>/.repro_store`` while an installed
@@ -46,6 +47,7 @@ __all__ = [
     "ENV_STORE",
     "KINDS",
     "ArtifactStore",
+    "atomic_write",
     "check_name",
     "default_root",
     "provenance_record",
@@ -98,6 +100,24 @@ def provenance_record(
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "tool": f"repro {__version__}",
     }
+
+
+def atomic_write(dst: Path, write: Callable[[Path], None]) -> None:
+    """Publish ``dst`` whole or not at all.
+
+    ``write(tmp)`` fills the same-directory temp ``.{name}.{pid}.tmp``,
+    which ``os.replace`` then renames over ``dst`` (atomic on POSIX
+    within one filesystem).  The temp is unlinked whatever happens, so a
+    failed write or replace leaves the previous ``dst`` as it was; only
+    a killed process can leave the dot-temp behind (``gc`` removes those
+    under a store root).
+    """
+    tmp = dst.parent / f".{dst.name}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, dst)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class ArtifactStore:
@@ -158,12 +178,7 @@ class ArtifactStore:
         """
         dst = self.path(kind, fingerprint)
         dst.parent.mkdir(parents=True, exist_ok=True)
-        tmp = dst.parent / f".{dst.name}.{os.getpid()}.tmp"
-        try:
-            write(tmp)
-            os.replace(tmp, dst)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write(dst, write)
         if provenance is not None:
             self._write_json(self.meta_path(kind, fingerprint), provenance)
         return dst
@@ -185,15 +200,8 @@ class ArtifactStore:
 
     def _write_json(self, path: Path, payload: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        try:
-            tmp.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
     # ------------------------------------------------------------------
     # Name index (workload name -> trace fingerprint)

@@ -32,9 +32,9 @@ def publish_trace(
 
     Validates ``name`` (see :func:`check_name`) and the archive
     (parseable header, known instruction count — a workload needs one),
-    rewrites deflated members as ``ZIP_STORED`` so reads can be mapped,
-    publishes under the content fingerprint, and binds ``name`` when
-    given.  Returns ``(fingerprint, payload_path)``.
+    rewrites every member stored and 64-byte aligned so reads can be
+    mapped, publishes under the content fingerprint, and binds ``name``
+    when given.  Returns ``(fingerprint, payload_path)``.
     """
     from repro.ingest import RTraceSource
 
@@ -72,10 +72,6 @@ def publish_trace(
 
 
 def _copy_as_stored(src: Path, tmp: Path) -> None:
-    """Copy a zip, re-filing deflated members as stored (mappable)."""
+    """Copy a zip with every member stored and 64-byte aligned (mappable)."""
     with zipfile.ZipFile(src) as zin:
-        infos = zin.infolist()
-        if all(i.compress_type == zipfile.ZIP_STORED for i in infos):
-            tmp.write_bytes(src.read_bytes())
-            return
-        write_stored_zip(tmp, ((i.filename, zin.read(i)) for i in infos))
+        write_stored_zip(tmp, ((i.filename, zin.read(i)) for i in zin.infolist()))

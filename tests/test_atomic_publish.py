@@ -2,10 +2,11 @@
 artifact, and whatever residue a crash can leave is exactly what
 ``store gc`` removes.
 
-These are the runtime counterpart of the ``atomic-publish`` lint rule:
-the rule proves every write site *uses* temp + ``os.replace``; these
-tests prove the pattern actually delivers its guarantee under injected
-failures at each stage.
+Every final file under ``repro.store`` and ``repro.exp`` is written
+through :func:`repro.store.artifacts.atomic_write`.  These tests inject
+a failure at each stage of each publish path: a site that wrote its
+final path in place would leave a partial file, or would never reach
+the failing ``os.replace``.
 """
 
 import os
@@ -17,6 +18,7 @@ import pytest
 from repro.curves.miss_curve import MissCurve
 from repro.exp.campaign import Campaign
 from repro.exp.mixes import MixCampaign
+from repro.exp.quarantine import Quarantine
 from repro.ingest.pipeline import convert_to_rtrace
 from repro.ingest.source import ArraySource
 from repro.store.artifacts import ArtifactStore
@@ -136,29 +138,66 @@ def test_convert_to_rtrace_midstream_failure_unlinks_dst(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Campaign / MixCampaign spec saves
+# Rewrites of an existing final file
 # ----------------------------------------------------------------------
+def _spec_save(spec):
+    def setup(root: Path):
+        path = root / "spec.json"
+        spec.save(path)
+        return path, lambda: spec.save(path)
+
+    return setup
+
+
+def _quarantine_remove(root: Path):
+    quarantine = Quarantine(root / "s.quarantine.jsonl")
+    quarantine.add("a", None, [])
+    quarantine.add("b", None, [])
+    return quarantine.path, lambda: quarantine.remove(["a"])
+
+
+def _provenance_sidecar(root: Path):
+    store = ArtifactStore(root / "store")
+    fp = "cafebabecafebabe"
+
+    def publish(round_: int) -> None:
+        store.publish(
+            "profiles",
+            fp,
+            lambda tmp: tmp.write_bytes(b"payload"),
+            provenance={"round": round_},
+        )
+
+    publish(1)
+    return store.meta_path("profiles", fp), lambda: publish(2)
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "setup",
     [
-        Campaign(name="c"),
-        MixCampaign(name="m"),
+        _spec_save(Campaign(name="c")),
+        _spec_save(MixCampaign(name="m")),
+        _quarantine_remove,
+        _provenance_sidecar,
     ],
-    ids=["campaign", "mix-campaign"],
+    ids=["campaign", "mix-campaign", "quarantine-remove", "provenance-sidecar"],
 )
 def test_spec_save_failure_preserves_previous_file(
-    tmp_path, monkeypatch, spec
+    tmp_path, monkeypatch, setup
 ):
-    path = tmp_path / "spec.json"
-    spec.save(path)
+    path, rewrite = setup(tmp_path)
     before = path.read_text()
+    files = _tree_files(tmp_path)
+    real_replace = os.replace
 
     def exploding_replace(src, dst):
-        raise Boom("no replace")
+        if Path(dst) == path:
+            raise Boom("no replace")
+        real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", exploding_replace)
     with pytest.raises(Boom):
-        spec.save(path)
-    # The previous spec is intact and the staging temp was cleaned up.
+        rewrite()
+    # The previous file is intact and the staging temp was cleaned up.
     assert path.read_text() == before
-    assert _tree_files(tmp_path) == ["spec.json"]
+    assert _tree_files(tmp_path) == files

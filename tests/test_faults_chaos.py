@@ -16,6 +16,7 @@ counts) for the CI artifact upload.
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -306,6 +307,44 @@ class TestChaosEventLog:
         }
         assert poison_key not in completed_keys
         assert len(completed_keys) == report.executed
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_every_span_starts_and_ends_once(
+        self, workers, tmp_path, monkeypatch
+    ):
+        # One failed attempt, so the retry path ends its spans too.
+        rule = {
+            "site": "worker",
+            "mode": "raise",
+            "attempts": [1],
+            "match": chaos_campaign().jobs()[0].key(),
+        }
+        monkeypatch.setenv(
+            faults.ENV_VAR, json.dumps({"seed": 0, "rules": [rule]})
+        )
+        path = tmp_path / "store.jsonl"
+        report = run_campaign(
+            chaos_campaign(),
+            ResultStore(path),
+            workers=workers,
+            retry=_policy(0),
+        )
+        assert report.executed == len(APPS) * len(SCHEMES)
+        assert report.retried == 1
+        records = Counter(
+            (e["span"], e["kind"])
+            for e in load_events(events_path_for(path))
+            if e["kind"] in ("span-start", "span-end")
+        )
+        ids = {span for span, __ in records}
+        assert len(ids) > 2 * len(APPS) * len(SCHEMES)
+        unpaired = {
+            span: (records[span, "span-start"], records[span, "span-end"])
+            for span in ids
+            if records[span, "span-start"] != 1
+            or records[span, "span-end"] != 1
+        }
+        assert not unpaired, unpaired
 
     def test_rollup_replays_run_report_counts(self, tmp_path, monkeypatch):
         poison_key, path, report = self._poison_run(tmp_path, monkeypatch)

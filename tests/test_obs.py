@@ -115,6 +115,19 @@ class TestSpans:
         # Both spans share the state's trace id.
         assert len({e["trace"] for e in sink.events}) == 1
 
+    def test_unentered_span_writes_nothing(self):
+        # Only __enter__ writes span-start, so a span that is never
+        # entered cannot dangle in the log.
+        sink = enable_memory()
+        obs.span("bare")
+        with obs.span("entered"):
+            pass
+        assert [(e["kind"], e["name"]) for e in sink.events] == [
+            ("span-start", "entered"),
+            ("span-end", "entered"),
+        ]
+        assert "parent" not in sink.events[0]
+
     def test_span_records_error_on_exception(self):
         sink = enable_memory()
         with pytest.raises(RuntimeError):
@@ -175,7 +188,7 @@ class TestDisabledPath:
         handle.end()
         # The shared no-op span is a singleton: no per-call allocation.
         # (Bare calls on purpose — the disabled path is what's under test.)
-        assert obs.span("a") is obs.span("b") is obs.start_span("c")  # repro: noqa[obs-span-pairing]
+        assert obs.span("a") is obs.span("b") is obs.start_span("c")
 
     def test_adopt_none_context_stays_dark(self):
         with obs.adopt(None):
@@ -240,6 +253,18 @@ class TestContextPropagation:
         start = events[0]
         assert start["name"] == "worker.attempt"
         assert start["parent"] == "sup-1"
+
+    def test_span_ids_stay_unique_across_adopted_jobs(self, tmp_path):
+        # A pool worker adopts a fresh state for every job it runs.
+        path = tmp_path / "w.events.jsonl"
+        for parent in ("sup-1", "sup-2"):
+            ctx = {"trace": "t", "parent": parent, "path": str(path)}
+            with obs.adopt(ctx):
+                with obs.span("worker.attempt"):
+                    pass
+        starts = [e for e in load_events(path) if e["kind"] == "span-start"]
+        assert [e["parent"] for e in starts] == ["sup-1", "sup-2"]
+        assert len({e["span"] for e in starts}) == 2
 
     def test_adopt_overrides_inherited_state(self, tmp_path):
         # Fork-started workers inherit the supervisor's enabled state;

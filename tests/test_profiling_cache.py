@@ -246,14 +246,19 @@ class TestFingerprint:
         # must give exactly the digests of hashing everything afresh.
         args = dict(chunk_bytes=1024, n_chunks=4, n_intervals=2, sample_shift=0)
         trace = make_trace([0, 1, 2, 3], [0, 0, 1, 1], 100.0)
-        one_vc = "1890b8bc31dbf4b30e75f42b108b04fb"
-        assert (
-            profiling._fingerprint(trace, {0: 0, 1: 1}, **args)
-            == "f84c9e25af83f1cdce1a66f8232fd0f9"
-        )
-        assert profiling._fingerprint(trace, {0: 0, 1: 0}, **args) == one_vc
         fresh = make_trace([0, 1, 2, 3], [0, 0, 1, 1], 100.0)
-        assert profiling._fingerprint(fresh, {0: 0, 1: 0}, **args) == one_vc
+        one_vc = "1890b8bc31dbf4b30e75f42b108b04fb"
+        for t, mapping, pinned in (
+            (trace, {0: 0, 1: 1}, "f84c9e25af83f1cdce1a66f8232fd0f9"),
+            (trace, {0: 0, 1: 0}, one_vc),
+            (fresh, {0: 0, 1: 0}, one_vc),
+        ):
+            got = profiling._fingerprint(t, mapping, **args)
+            assert got == pinned, (
+                f"the profile-cache fingerprint changed (now {got}): if "
+                "what it hashes changed on purpose, bump FORMAT_VERSION "
+                "in repro/store/profiles.py and re-pin this digest"
+            )
 
     def test_rtrace_digest_bytes_are_pinned(self, tmp_path):
         # Every .rtrace header and every stored trace is named by these

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles.reuse import distances_from_prev_reference, stack_distances_reference
+from oracles.reuse import (
+    distances_from_prev_reference,
+    dominance_counts_reference,
+    stack_distances_reference,
+)
 from repro.curves import (
     StackDistanceProfiler,
     miss_curve_from_distances,
@@ -18,6 +22,7 @@ from repro.curves.reuse import (
     _BITMAP_MIN,
     COLD,
     _distances_from_prev,
+    _dominance_counts,
     _group_by_region,
     _prev_occurrence,
 )
@@ -276,6 +281,16 @@ class TestSweepVsOracle:
         assert np.count_nonzero(prev >= 0) == retouches
         assert np.array_equal(
             _distances_from_prev(prev), distances_from_prev_reference(prev, starts)
+        )
+
+    def test_int32_order_packs_into_wide_words(self):
+        """Positions pack above bit 32, whatever dtype the order arrives in."""
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 500, size=3001)
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(
+            _dominance_counts(keys, order.astype(np.int32)),
+            dominance_counts_reference(keys, order),
         )
 
     @pytest.mark.parametrize("bitmap_min", [0, _BITMAP_MIN])

@@ -409,6 +409,34 @@ class TestPublishTrace:
         meta = store.provenance("traces", fp)
         assert meta["builder"].endswith("publish_trace")
 
+    def test_stored_archive_republished_aligned(self, store, tmp_path):
+        # A ZIP_STORED archive is rewritten too: its members sit wherever
+        # the zip writer put them, not on the 64-byte grid mapped reads need.
+        from repro.ingest import RTraceSource
+        from repro.ingest.formats import RTraceWriter
+
+        src = tmp_path / "t.rtrace"
+        rng = np.random.default_rng(5)
+        writer = RTraceWriter(src, 64, compression=zipfile.ZIP_STORED)
+        for n in (3, 17, 1, 40, 9, 25):
+            writer.append(rng.integers(0, 1 << 20, n), rng.integers(0, 4, n))
+        header = writer.close(instructions=1000.0)
+        fp, dst = publish_trace(store, src)
+        assert fp == header["fingerprint"]
+        archive = MappedArchive(dst)
+        members = [n for n in archive.members() if n.endswith(".npy")]
+        assert len(members) == 12
+        for name in members:
+            chunk = archive.npy_member(name)
+            assert is_mapped(chunk) and chunk.flags.aligned, name
+        assert RTraceSource(dst).verify_fingerprint()
+        before = list(RTraceSource(src).line_chunks())
+        after = list(RTraceSource(dst).line_chunks())
+        assert len(after) == len(before) == 6
+        for (a_lines, a_regions), (b_lines, b_regions) in zip(before, after):
+            assert np.array_equal(a_lines, b_lines)
+            assert np.array_equal(a_regions, b_regions)
+
     def test_no_instruction_count_rejected(self, store, tmp_path):
         from repro.ingest import (
             ArraySource,
