@@ -16,15 +16,10 @@ import os
 from dataclasses import dataclass, field
 
 from repro.analysis.compare import STANDARD_SCHEMES
-from repro.core.whirltool import (
-    WhirlToolAnalyzer,
-    WhirlToolProfiler,
-)
 from repro.exp import Job, MemoryStore, run_jobs
 from repro.exp.execute import cached_workload, execute_job, record_to_result
 from repro.nuca import four_core_config, sixteen_core_config
 from repro.schemes.base import SchemeResult
-from repro.workloads import build_workload
 
 CFG4 = four_core_config()
 CFG16 = sixteen_core_config()
@@ -47,7 +42,6 @@ class AppResults:
 
 
 _APP_CACHE: dict[str, AppResults] = {}
-_CLUSTER_CACHE: dict[tuple[str, str, int], object] = {}
 
 #: Session-wide job store shared by every figure's grid.
 _STORE = MemoryStore()
@@ -66,16 +60,6 @@ def grid_record(job: Job) -> dict:
 def grid_result(job: Job) -> SchemeResult:
     """The stored :class:`SchemeResult` for one job."""
     return record_to_result(_STORE.get(job.key()))
-
-
-def clustering_for(app: str, train_scale: str = "train", seed: int = 0):
-    """Train WhirlTool's clustering once per (app, scale)."""
-    key = (app, train_scale, seed)
-    if key not in _CLUSTER_CACHE:
-        workload = build_workload(app, scale=train_scale, seed=seed)
-        profile = WhirlToolProfiler().profile(workload)
-        _CLUSTER_CACHE[key] = WhirlToolAnalyzer().cluster(profile)
-    return _CLUSTER_CACHE[key]
 
 
 def _app_jobs(app: str, pool_counts: tuple[int, ...], with_manual: bool):

@@ -3,19 +3,17 @@
 Shows the merge tree (distance at each merge) and the 3-pool cut.
 """
 
-from _suite import clustering_for
 from conftest import once
 
+from repro.core.whirltool import train_whirltool
 from repro.workloads import build_workload
 
 
 def test_fig17_dendrograms(benchmark, report):
     def run():
-        out = {}
-        for app in ("delaunay", "omnet"):
-            clustering = clustering_for(app)
-            out[app] = clustering
-        return out
+        return {
+            app: train_whirltool(app).clustering for app in ("delaunay", "omnet")
+        }
 
     clusterings = once(benchmark, run)
     sections = []

@@ -35,52 +35,38 @@ __all__ = ["STANDARD_SCHEMES", "run_scheme", "run_schemes", "resolve_classifier"
 STANDARD_SCHEMES = ["LRU", "DRRIP", "IdealSPD", "Awasthi", "Jigsaw", "Whirlpool"]
 
 
-def _scheme_factories(bypass: bool) -> dict[str, Callable]:
-    return {
-        "LRU": lambda c, v: SNUCAScheme(c, v, "lru"),
-        "DRRIP": lambda c, v: SNUCAScheme(c, v, "drrip"),
-        "IdealSPD": IdealSPDScheme,
-        "Awasthi": AwasthiScheme,
-        "Jigsaw": lambda c, v: JigsawScheme(c, v, bypass=bypass),
-        "Whirlpool": lambda c, v: WhirlpoolScheme(c, v, bypass=bypass),
-    }
+#: Scheme factories, ``(config, vcs) -> Scheme``; Jigsaw and Whirlpool
+#: bypass (their default).
+_FACTORIES: dict[str, Callable] = {
+    "LRU": lambda c, v: SNUCAScheme(c, v, "lru"),
+    "DRRIP": lambda c, v: SNUCAScheme(c, v, "drrip"),
+    "IdealSPD": IdealSPDScheme,
+    "Awasthi": AwasthiScheme,
+    "Jigsaw": JigsawScheme,
+    "Whirlpool": WhirlpoolScheme,
+}
 
 
-def resolve_classifier(
-    spec: str,
-    workload: Workload,
-    whirltool_pools: int = 3,
-    train_scale: str = "train",
-    seed: int = 0,
-) -> Classifier:
+def resolve_classifier(spec: str, workload: Workload, seed: int = 0) -> Classifier:
     """Build a VC classifier from a variant name.
 
     Variants: ``"auto"`` (manual pools when the app was ported,
-    WhirlTool otherwise — the paper's Whirlpool evaluation rule),
-    ``"single"`` (one process VC, the driver default),
-    ``"manual"``, ``"whirltool:<k>"``.
+    WhirlTool at 3 pools otherwise — the paper's Whirlpool evaluation
+    rule), ``"single"`` (one process VC, the driver default),
+    ``"manual"``, ``"whirltool:<k>"``.  WhirlTool trains on the app's
+    train input at ``seed``.
     """
+    if spec == "auto":
+        spec = "manual" if workload.manual_pools else "whirltool:3"
     if spec == "single":
         return SingleVCClassifier()
     if spec == "manual":
         if not workload.manual_pools:
             raise ValueError(f"{workload.name} has no manual pools")
         return ManualPoolClassifier()
-    if spec == "auto":
-        if workload.manual_pools:
-            return ManualPoolClassifier()
-        return train_whirltool(
-            workload.name,
-            n_pools=whirltool_pools,
-            train_scale=train_scale,
-            seed=seed,
-        )
     if spec.startswith("whirltool:"):
         return train_whirltool(
-            workload.name,
-            n_pools=int(spec.split(":", 1)[1]),
-            train_scale=train_scale,
-            seed=seed,
+            workload.name, n_pools=int(spec.split(":", 1)[1]), seed=seed
         )
     raise ValueError(f"unknown classifier variant {spec!r}")
 
@@ -90,10 +76,6 @@ def run_scheme(
     config: SystemConfig,
     scheme: str,
     classifier: Classifier | None = None,
-    whirltool_pools: int = 3,
-    train_scale: str = "train",
-    seed: int = 0,
-    bypass: bool = True,
     **simulate_kwargs,
 ) -> SchemeResult:
     """Evaluate one workload under one named scheme.
@@ -104,28 +86,20 @@ def run_scheme(
         scheme: one of :data:`STANDARD_SCHEMES`.
         classifier: VC classifier; defaults to the driver's single
             process VC, except Whirlpool which follows the ``"auto"``
-            rule (manual pools when ported, WhirlTool otherwise).
-        whirltool_pools / train_scale / seed: WhirlTool fallback knobs.
-        bypass: enable bypassing for Jigsaw and Whirlpool.
+            rule (manual pools when ported, WhirlTool at 3 pools trained
+            on the train input at seed 0 otherwise).
         simulate_kwargs: forwarded to :func:`repro.sim.simulate`.
     """
-    factories = _scheme_factories(bypass)
-    if scheme not in factories:
+    if scheme not in _FACTORIES:
         raise ValueError(
             f"unknown scheme {scheme!r}; known: {', '.join(STANDARD_SCHEMES)}"
         )
     if scheme == "Whirlpool" and classifier is None:
-        classifier = resolve_classifier(
-            "auto",
-            workload,
-            whirltool_pools=whirltool_pools,
-            train_scale=train_scale,
-            seed=seed,
-        )
+        classifier = resolve_classifier("auto", workload)
     return simulate(
         workload,
         config,
-        factories[scheme],
+        _FACTORIES[scheme],
         classifier=classifier,
         **simulate_kwargs,
     )
@@ -135,38 +109,18 @@ def run_schemes(
     workload: Workload,
     config: SystemConfig,
     schemes: list[str] | None = None,
-    whirlpool_classifier=None,
-    whirltool_pools: int = 3,
-    train_scale: str = "train",
-    seed: int = 0,
-    bypass: bool = True,
 ) -> dict[str, SchemeResult]:
     """Evaluate one workload under the requested schemes.
+
+    Each scheme runs through :func:`run_scheme` with its default
+    classifier.
 
     Args:
         workload: the program (its name must be in the registry when
             WhirlTool training is needed).
         config: chip configuration.
         schemes: subset of :data:`STANDARD_SCHEMES` (default: all).
-        whirlpool_classifier: override Whirlpool's classifier (e.g. a
-            pre-trained WhirlTool classifier, or ManualPoolClassifier).
-        whirltool_pools: pools for the WhirlTool fallback.
-        train_scale: WhirlTool training inputs.
-        seed: training workload seed.
-        bypass: enable bypassing for Jigsaw and Whirlpool.
     """
     if schemes is None:
         schemes = list(STANDARD_SCHEMES)
-    out: dict[str, SchemeResult] = {}
-    for name in schemes:
-        out[name] = run_scheme(
-            workload,
-            config,
-            name,
-            classifier=whirlpool_classifier if name == "Whirlpool" else None,
-            whirltool_pools=whirltool_pools,
-            train_scale=train_scale,
-            seed=seed,
-            bypass=bypass,
-        )
-    return out
+    return {name: run_scheme(workload, config, name) for name in schemes}

@@ -10,7 +10,11 @@ Three components (Fig 14):
   callpoint -> pool mapping, sending unprofiled callpoints to the
   process VC.
 
-:func:`train_whirltool` runs the full pipeline on a training input.
+:func:`train_on` runs profiler and analyzer on an already-built
+training run, once per run object (the merge tree is kept on the run,
+so every pool count cuts the same tree); :func:`train_whirltool` builds
+the training input first and cuts the tree.  These two are the only
+training path.
 
 The *online* variant (:mod:`repro.core.whirltool.online`) streams the
 same pipeline over live traffic: :class:`OnlineWhirlTool` seals
@@ -30,7 +34,11 @@ from repro.core.whirltool.online import (
     PhaseDetector,
 )
 from repro.core.whirltool.profiler import CallpointProfile, WhirlToolProfiler
-from repro.core.whirltool.runtime import WhirlToolClassifier, train_whirltool
+from repro.core.whirltool.runtime import (
+    WhirlToolClassifier,
+    train_on,
+    train_whirltool,
+)
 
 __all__ = [
     "CallpointProfile",
@@ -42,5 +50,6 @@ __all__ = [
     "WhirlToolAnalyzer",
     "WhirlToolClassifier",
     "WhirlToolProfiler",
+    "train_on",
     "train_whirltool",
 ]

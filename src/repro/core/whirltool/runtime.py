@@ -1,4 +1,4 @@
-"""WhirlTool runtime (paper Sec 4.3).
+"""WhirlTool runtime (paper Sec 4.3) and its one training path.
 
 Replaces the system allocator: each allocation's callpoint is looked up
 in the trained callpoint -> pool map and routed to the matching pool's
@@ -6,6 +6,11 @@ VC.  Allocations from unprofiled callpoints fall into the thread-private
 (process) pool.  As a :class:`~repro.schemes.Classifier`, this plugs
 straight into the simulation driver in place of the manual Table-2
 classification.
+
+Training (profile, then cluster) happens here and nowhere else:
+:func:`train_on` trains on an already-built run and keeps the merge
+tree on that run object, and :func:`train_whirltool` builds the run
+first.
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ from repro.schemes.classifiers import Classifier
 from repro.workloads.registry import build_workload
 from repro.workloads.trace import Workload
 
-__all__ = ["WhirlToolClassifier", "train_whirltool"]
+__all__ = ["WhirlToolClassifier", "train_on", "train_whirltool"]
+
+#: Attribute of a training run that holds its merge tree, so the tree
+#: lives exactly as long as the run.
+_CLUSTERING_ATTR = "_whirltool_clustering"
 
 
 class WhirlToolClassifier(Classifier):
@@ -69,12 +78,25 @@ class WhirlToolClassifier(Classifier):
         return mapping, specs
 
 
+def train_on(run: Workload) -> ClusteringResult:
+    """WhirlTool's merge tree for an already-built training run.
+
+    The first call profiles and clusters ``run`` and keeps the tree on
+    it; later calls on the same run object return that tree, so every
+    cut of the run shares it, and the tree is freed with the run.
+    """
+    clustering = getattr(run, _CLUSTERING_ATTR, None)
+    if clustering is None:
+        clustering = WhirlToolAnalyzer().cluster(WhirlToolProfiler().profile(run))
+        setattr(run, _CLUSTERING_ATTR, clustering)
+    return clustering
+
+
 def train_whirltool(
     app: str,
     n_pools: int = 3,
     train_scale: str = "train",
     seed: int = 0,
-    profiler: WhirlToolProfiler | None = None,
 ) -> WhirlToolClassifier:
     """Full WhirlTool pipeline: profile a training run, cluster, classify.
 
@@ -83,9 +105,5 @@ def train_whirltool(
     applied to any input scale of the same application — callpoint ids
     are stable across inputs.
     """
-    workload = build_workload(app, scale=train_scale, seed=seed)
-    if profiler is None:
-        profiler = WhirlToolProfiler()
-    profile = profiler.profile(workload)
-    clustering = WhirlToolAnalyzer().cluster(profile)
-    return WhirlToolClassifier(clustering, n_pools=n_pools)
+    run = build_workload(app, scale=train_scale, seed=seed)
+    return WhirlToolClassifier(train_on(run), n_pools=n_pools)

@@ -3,10 +3,13 @@
 :func:`execute_job` is the module-level callable the campaign engine
 submits to its process pool: it rebuilds everything a job names
 (workload, configuration, classifier) from primitives, runs the
-simulation, and returns a JSON-serializable record.  Workers keep small
-per-process caches of built workloads and trained WhirlTool classifiers,
-and share the on-disk profile cache (``sim/profiling.py``) with every
-other worker — so a grid over schemes pays for each profile once.
+simulation, and returns a JSON-serializable record.  Workers keep a
+small per-process LRU of built workloads; a WhirlTool classifier is
+trained on the app's cached train-scale run, which keeps its merge tree
+(:func:`~repro.core.whirltool.train_on`), so every pool cut and every
+job of that run share one training for as long as the run is cached.
+Workers share the on-disk profile cache (``sim/profiling.py``) with
+every other worker — so a grid over schemes pays for each profile once.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.analysis.compare import resolve_classifier, run_scheme
+from repro.core.whirltool import WhirlToolClassifier, train_on
 from repro.nuca import four_core_config, sixteen_core_config
 from repro.nuca.config import SystemConfig
 from repro.schemes.base import SchemeResult
+from repro.schemes.classifiers import Classifier
 from repro.exp.job import Job
 from repro.workloads import build_workload
 from repro.workloads.trace import Workload
@@ -39,8 +44,6 @@ CONFIGS = {
 # kept; train-scale traces (mix methodology) are small and cached wider.
 _WORKLOAD_CACHE: dict[str, OrderedDict] = {}
 _CACHE_SIZES = {"ref": 2, "train": 32}
-_CLASSIFIER_CACHE: dict[tuple, object] = {}
-_CLUSTERING_CACHE: dict[tuple, object] = {}
 
 
 def cached_workload(name: str, scale: str, seed: int) -> Workload:
@@ -57,40 +60,21 @@ def cached_workload(name: str, scale: str, seed: int) -> Workload:
     return workload
 
 
-def _whirltool_classifier(app: str, n_pools: int, seed: int):
-    """A WhirlTool classifier cutting one cached clustering at k pools.
+def _classifier(spec: str, workload: Workload, seed: int) -> Classifier:
+    """The VC classifier ``spec`` names for ``workload``.
 
-    ``train_whirltool`` re-profiles and re-clusters per call; a pool
-    sweep over k only needs the merge tree once per (app, seed), so the
-    clustering is cached and cut per k — same results, one training.
+    WhirlTool (``whirltool:<k>``, or ``auto`` on an app without manual
+    pools) trains on the app's cached train-scale run, so a mix job at
+    train scale trains on the very workload it simulates.  Every other
+    spec goes to :func:`~repro.analysis.compare.resolve_classifier`.
     """
-    from repro.core.whirltool import (
-        WhirlToolAnalyzer,
-        WhirlToolClassifier,
-        WhirlToolProfiler,
-    )
-
-    key = (app, seed)
-    if key not in _CLUSTERING_CACHE:
-        train = cached_workload(app, "train", seed)
-        profile = WhirlToolProfiler().profile(train)
-        _CLUSTERING_CACHE[key] = WhirlToolAnalyzer().cluster(profile)
-    return WhirlToolClassifier(_CLUSTERING_CACHE[key], n_pools=n_pools)
-
-
-def _cached_classifier(spec: str, workload: Workload, seed: int):
-    key = (spec, workload.name, seed)
-    if key not in _CLASSIFIER_CACHE:
-        if spec == "auto" and not workload.manual_pools:
-            classifier = _whirltool_classifier(workload.name, 3, seed)
-        elif spec.startswith("whirltool:"):
-            classifier = _whirltool_classifier(
-                workload.name, int(spec.split(":", 1)[1]), seed
-            )
-        else:
-            classifier = resolve_classifier(spec, workload, seed=seed)
-        _CLASSIFIER_CACHE[key] = classifier
-    return _CLASSIFIER_CACHE[key]
+    if spec == "auto" and not workload.manual_pools:
+        spec = "whirltool:3"
+    if spec.startswith("whirltool:"):
+        train = cached_workload(workload.name, "train", seed)
+        n_pools = int(spec.split(":", 1)[1])
+        return WhirlToolClassifier(train_on(train), n_pools=n_pools)
+    return resolve_classifier(spec, workload, seed=seed)
 
 
 def _config_for(job: Job) -> SystemConfig:
@@ -148,7 +132,7 @@ def _execute_single(job: Job) -> dict:
     workload = cached_workload(job.app, job.scale, job.seed)
     classifier = None
     if job.classifier != "auto" or job.scheme == "Whirlpool":
-        classifier = _cached_classifier(job.classifier, workload, job.seed)
+        classifier = _classifier(job.classifier, workload, job.seed)
     sim_kwargs = {}
     if job.n_intervals is not None:
         sim_kwargs["n_intervals"] = job.n_intervals
@@ -159,7 +143,6 @@ def _execute_single(job: Job) -> dict:
         config,
         job.scheme,
         classifier=classifier,
-        seed=job.seed,
         **sim_kwargs,
     )
     return result_to_record(result)
@@ -207,9 +190,7 @@ def _execute_mix(job: Job) -> dict:
         # The paper's mix rule: Whirlpool variants get pooled VCs, the
         # Jigsaw baseline a single process VC per program.
         spec = "whirltool:3" if job.scheme.startswith("Whirlpool") else "single"
-    classifiers = [
-        _cached_classifier(spec, w, s) for w, s in zip(workloads, seeds)
-    ]
+    classifiers = [_classifier(spec, w, s) for w, s in zip(workloads, seeds)]
     result = simulate_mix(
         workloads,
         config,

@@ -13,8 +13,8 @@ lines, flushed + fsynced per append, last write wins on replay, and a
 truncated trailing line from a killed writer is skipped and repaired on
 the next append.  ``remove`` rewrites the file through
 :func:`repro.store.artifacts.atomic_write` (fsynced temp sibling, then
-``os.replace``), so a failed rewrite keeps the previous file; ``clear``
-unlinks it.
+``os.replace``), so a failed rewrite keeps the previous file and the
+entries it holds; ``clear`` unlinks it.
 """
 
 from __future__ import annotations
@@ -106,26 +106,30 @@ class Quarantine:
         return entry
 
     def remove(self, keys) -> int:
-        """Drop entries by key, rewriting the sidecar atomically."""
+        """Drop entries by key, rewriting the sidecar atomically.
+
+        The entries leave memory only once the file no longer holds
+        them, so a failed rewrite leaves object and file agreeing.
+        """
         doomed = {k for k in keys if k in self._entries}
         if not doomed:
             return 0
+        survivors = [e for k, e in self._entries.items() if k not in doomed]
+        if survivors:
+            from repro.store.artifacts import atomic_write
+
+            def write(tmp: Path) -> None:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    for entry in survivors:
+                        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+
+            atomic_write(self.path, write)
+        else:
+            self.path.unlink(missing_ok=True)
         for key in doomed:
             del self._entries[key]
-        if not self._entries:
-            self.path.unlink(missing_ok=True)
-            self._needs_newline = False
-            return len(doomed)
-        from repro.store.artifacts import atomic_write
-
-        def write(tmp: Path) -> None:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for entry in self._entries.values():
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-
-        atomic_write(self.path, write)
         self._needs_newline = False
         return len(doomed)
 

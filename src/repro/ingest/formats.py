@@ -469,8 +469,8 @@ class RTraceWriter:
         self.path = Path(path)
         self.line_bytes = line_bytes
         # ZIP_STORED archives (the artifact store's layout) can be
-        # memory-mapped by readers; the content fingerprint is invariant
-        # to this choice.
+        # memory-mapped by readers, so their chunks are written aligned;
+        # the content fingerprint is invariant to this choice.
         self._zf = zipfile.ZipFile(self.path, "w", compression)
         self._n_chunks = 0
         self._n_records = 0
@@ -502,7 +502,13 @@ class RTraceWriter:
     def _write_member(self, name: str, arr: np.ndarray) -> None:
         buf = io.BytesIO()
         np.lib.format.write_array(buf, arr, allow_pickle=False)
-        self._zf.writestr(name, buf.getvalue())
+        entry: str | zipfile.ZipInfo = name
+        if self._zf.compression == zipfile.ZIP_STORED:
+            from repro.store.mmapzip import aligned_entry
+
+            # The zip writer sits where this member's header will go.
+            entry = aligned_entry(name, self._zf.fp.tell())
+        self._zf.writestr(entry, buf.getvalue())
 
     def close(
         self,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nuca.geometry import MeshGeometry
-from repro.parallel.task import ParallelWorkload, Task
+from repro.parallel.task import ParallelWorkload
 
 __all__ = ["Schedule", "schedule_tasks"]
 

@@ -14,7 +14,8 @@ Deflated members cannot be mapped: :meth:`MappedArchive.npy_member`
 returns ``None`` for them, and :meth:`MappedArchive.array` inflates
 them from the mapping instead, so :func:`npz_arrays` reads any ``.npz``
 with one parse of its zip directory.  :func:`write_stored_zip` writes
-the store's mappable archives, with every member's data aligned.
+the store's mappable archives, with every member's data aligned by
+:func:`aligned_entry`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 __all__ = [
     "ZIP_READ_ERRORS",
     "MappedArchive",
+    "aligned_entry",
     "is_mapped",
     "npz_arrays",
     "write_stored_zip",
@@ -43,8 +45,8 @@ _NPY_MAGIC = b"\x93NUMPY"
 #: Fixed part of a zip local file header (PK\x03\x04 ... name/extra lens).
 _LOCAL_HEADER_BYTES = 30
 
-#: Where :func:`write_stored_zip` starts each member's data: a multiple
-#: of 64 bytes suits every dtype, so mapped arrays take numpy's aligned
+#: Where :func:`aligned_entry` starts a member's data: a multiple of 64
+#: bytes suits every dtype, so mapped arrays take numpy's aligned
 #: loops.  The padding is an extra field (the id zipalign uses), which
 #: zip readers skip.
 _ALIGN = 64
@@ -200,22 +202,31 @@ def npz_arrays(path: str | Path) -> dict[str, np.ndarray]:
     }
 
 
+def aligned_entry(name: str, offset: int) -> zipfile.ZipInfo:
+    """A stored member's entry whose data starts on the 64-byte grid.
+
+    ``offset`` is where the member's local header will be written.  The
+    entry carries zip's fixed default timestamp.
+    """
+    info = zipfile.ZipInfo(name)
+    pad = -(offset + _LOCAL_HEADER_BYTES + len(name.encode())) % _ALIGN
+    if pad:
+        pad += _ALIGN if pad < 4 else 0  # room for the field's header
+        info.extra = struct.pack("<HH", _PAD_EXTRA_ID, pad - 4) + bytes(pad - 4)
+    return info
+
+
 def write_stored_zip(tmp: str | Path, members: Iterable[tuple[str, bytes]]) -> None:
     """Write ``(name, data)`` members uncompressed to the staging file ``tmp``.
 
     Each member's data starts at a multiple of 64 bytes; an ``.npy``
     header pads the array after it to 64 bytes as well, so every array
-    of an ``.npz`` written here maps aligned.  Entries carry zip's fixed
-    default timestamp, so equal members give byte-equal archives.
+    of an ``.npz`` written here maps aligned.  Equal members give
+    byte-equal archives.
     """
     with open(tmp, "wb") as f, zipfile.ZipFile(f, "w") as zf:
         for name, data in members:
-            info = zipfile.ZipInfo(name)
-            pad = -(f.tell() + _LOCAL_HEADER_BYTES + len(name.encode())) % _ALIGN
-            if pad:
-                pad += _ALIGN if pad < 4 else 0  # room for the field's header
-                info.extra = struct.pack("<HH", _PAD_EXTRA_ID, pad - 4) + bytes(pad - 4)
-            zf.writestr(info, data)
+            zf.writestr(aligned_entry(name, f.tell()), data)
 
 
 def is_mapped(array: np.ndarray) -> bool:

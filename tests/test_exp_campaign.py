@@ -8,7 +8,7 @@ produce byte-identical stores modulo ordering.
 
 import json
 
-from repro.analysis import run_schemes
+from repro.analysis import resolve_classifier, run_scheme, run_schemes
 from repro.exp import Campaign, ResultStore, campaign_status, run_campaign
 from repro.nuca import four_core_config
 from repro.workloads import build_workload
@@ -47,6 +47,43 @@ class TestCampaignRun:
                     record["energy"]["memory"]
                     == expected[scheme].energy.memory
                 )
+
+    def test_parallel_whirltool_matches_serial_run_schemes(self, tmp_path):
+        # omnet has no manual pools, so "auto" is WhirlTool at 3 pools:
+        # workers train on execute's cached run, run_schemes through
+        # train_whirltool.
+        campaign = Campaign(
+            name="wt",
+            apps=["omnet"],
+            schemes=["Whirlpool"],
+            classifiers=["auto", "whirltool:2"],
+        )
+        store = ResultStore(tmp_path / "store.jsonl")
+        report = run_campaign(campaign, store, workers=2)
+        assert report.executed == 2 and not report.failures
+
+        cfg = four_core_config()
+        workload = build_workload("omnet", scale="ref", seed=0)
+        expected = {
+            "auto": run_schemes(workload, cfg, schemes=["Whirlpool"])["Whirlpool"],
+            "whirltool:2": run_scheme(
+                workload,
+                cfg,
+                "Whirlpool",
+                classifier=resolve_classifier("whirltool:2", workload),
+            ),
+        }
+        for job in campaign.jobs():
+            record = store.get(job.key())
+            want = expected[job.classifier]
+            assert record["cycles"] == want.cycles
+            assert record["hits"] == want.hits
+            assert record["misses"] == want.misses
+            assert record["energy"] == {
+                "network": want.energy.network,
+                "bank": want.energy.bank,
+                "memory": want.energy.memory,
+            }
 
     def test_interrupted_run_resumes_missing_jobs_only(self, tmp_path):
         campaign = small_campaign()

@@ -207,6 +207,34 @@ class TestRoundTrips:
                 zf.writestr(n, payload)
         assert not RTraceSource(path).verify_fingerprint()
 
+    def test_stored_writer_aligns_every_chunk(self, tmp_path):
+        import zipfile
+
+        from repro.store.mmapzip import MappedArchive, is_mapped
+
+        path = tmp_path / "t.rtrace"
+        rng = np.random.default_rng(5)
+        writer = RTraceWriter(path, 64, compression=zipfile.ZIP_STORED)
+        appended = []
+        for n in (3, 17, 1, 40, 9, 25):
+            chunk = (rng.integers(0, 1 << 20, n), rng.integers(0, 4, n))
+            writer.append(*chunk)
+            appended.append(chunk)
+        writer.close(instructions=1000.0)
+        archive = MappedArchive(path)
+        members = [n for n in archive.members() if n.endswith(".npy")]
+        assert len(members) == 12
+        for name in members:
+            chunk = archive.npy_member(name)
+            assert is_mapped(chunk) and chunk.flags.aligned, name
+        source = RTraceSource(path)
+        assert source.verify_fingerprint()
+        read = list(source.line_chunks())
+        assert len(read) == len(appended)
+        for (lines, regions), (want_lines, want_regions) in zip(read, appended):
+            assert np.array_equal(lines, want_lines)
+            assert np.array_equal(regions, want_regions)
+
 
 class TestDetection:
     @pytest.mark.parametrize("fmt", ["lackey", "mtrace", "csv", "jsonl"])

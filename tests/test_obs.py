@@ -10,7 +10,6 @@ registry exactly) is pinned property-based with Hypothesis.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings

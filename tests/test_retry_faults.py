@@ -8,6 +8,7 @@ the end-to-end chaos invariant in ``test_faults_chaos``.
 """
 
 import json
+import os
 
 import pytest
 
@@ -284,6 +285,23 @@ class TestQuarantine:
         assert q.remove(["b", "missing"]) == 1
         assert set(Quarantine(path).keys()) == {"a", "c"}
         assert not list(tmp_path.glob(".q.jsonl.*"))  # no staging leftovers
+
+    def test_failed_remove_keeps_object_and_file_agreeing(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "q.jsonl"
+        q = Quarantine(path)
+        for name in ("a", "b"):
+            q.add(name, _FakeJob(name), [])
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", refuse)
+            with pytest.raises(OSError, match="disk full"):
+                q.remove(["a"])
+        assert sorted(q.keys()) == sorted(Quarantine(path).keys()) == ["a", "b"]
 
     def test_remove_last_entry_unlinks_file(self, tmp_path):
         path = tmp_path / "q.jsonl"

@@ -4,7 +4,6 @@ Everything runs against a temp root via ``$REPRO_STORE_DIR``; the
 fixture pile is exercised separately in ``test_profiling_cache.py``.
 """
 
-import json
 import struct
 import zipfile
 
@@ -410,17 +409,30 @@ class TestPublishTrace:
         assert meta["builder"].endswith("publish_trace")
 
     def test_stored_archive_republished_aligned(self, store, tmp_path):
-        # A ZIP_STORED archive is rewritten too: its members sit wherever
-        # the zip writer put them, not on the 64-byte grid mapped reads need.
+        # A ZIP_STORED archive is rewritten too: a plain zip writer puts
+        # its members wherever they fall, not on the 64-byte grid mapped
+        # reads need.
         from repro.ingest import RTraceSource
         from repro.ingest.formats import RTraceWriter
 
-        src = tmp_path / "t.rtrace"
+        deflated = tmp_path / "deflated.rtrace"
         rng = np.random.default_rng(5)
-        writer = RTraceWriter(src, 64, compression=zipfile.ZIP_STORED)
+        writer = RTraceWriter(deflated, 64)
         for n in (3, 17, 1, 40, 9, 25):
             writer.append(rng.integers(0, 1 << 20, n), rng.integers(0, 4, n))
         header = writer.close(instructions=1000.0)
+        src = tmp_path / "t.rtrace"
+        with zipfile.ZipFile(deflated) as zin, zipfile.ZipFile(
+            src, "w", zipfile.ZIP_STORED
+        ) as zout:
+            for info in zin.infolist():
+                zout.writestr(info.filename, zin.read(info))
+        unaligned = MappedArchive(src)
+        assert not all(
+            unaligned.npy_member(n).flags.aligned
+            for n in unaligned.members()
+            if n.endswith(".npy")
+        )
         fp, dst = publish_trace(store, src)
         assert fp == header["fingerprint"]
         archive = MappedArchive(dst)
